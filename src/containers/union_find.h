@@ -32,7 +32,7 @@ class UnionFind {
   }
 
   // Re-initializes to n singleton sets, reusing the existing allocation
-  // whenever it is large enough (the DbscanEngine workspace calls this once
+  // whenever it is large enough (a QueryContext's workspace calls this once
   // per run). Must not race with Find/Link.
   void Reset(size_t n) {
     if (n > capacity_) {

@@ -25,8 +25,8 @@
 namespace pdbscan::dbscan {
 
 // Point ids sorted by (x, y, id) — the epsilon-independent part of the box
-// construction (the strip grouping itself depends on epsilon). The
-// DbscanEngine caches this order across epsilon changes.
+// construction (the strip grouping itself depends on epsilon). A CellLayout
+// caches this order across epsilon changes.
 std::vector<uint32_t> BoxSortByX(std::span<const geometry::Point<2>> input);
 
 // Builds the box cell structure for 2D points with parameter `epsilon`.

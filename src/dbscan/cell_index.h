@@ -5,9 +5,8 @@
 // kQuadtree range-count trees, and the saturated MarkCore neighbor counts
 // depend only on (points, epsilon, options, counts cap), while everything
 // downstream (core flags at a min_pts, cell-graph connectivity, border
-// assignment, relabeling) is cheap per-query state. A DbscanEngine keeps
-// both halves in one mutable object and therefore serves one thread;
-// CellIndex freezes the first half so any number of threads can query it:
+// assignment, relabeling) is cheap per-query state. CellIndex freezes the
+// first half so any number of threads can query it:
 //
 //   auto index = pdbscan::dbscan::CellIndex<2>::Build(pts, /*epsilon=*/1.0,
 //                                                     /*counts_cap=*/100);
@@ -21,35 +20,41 @@
 // shared counts; larger min_pts values stay correct by recounting into the
 // context's private workspace (counts_built ticks in the context's stats).
 // Either way the clustering is bit-identical to a one-shot pdbscan::Dbscan
-// call: all query surfaces execute RunQueryFromCounts (query.h), and
+// call: every query surface executes RunQueryFromCounts (query.h), and
 // saturated counts threshold identically for every min_pts <= their cap.
 //
-// parallel::EnginePool (parallel/engine_pool.h) packages a CellIndex with a
-// reusable set of QueryContexts behind a thread-safe Run/Sweep facade.
+// Every clustering surface sits on this pair: one-shot RunDbscan
+// (pipeline.h) builds an index at cap = min_pts and runs one context;
+// DbscanEngine (engine.h) caches an index per epsilon plus one context;
+// parallel::EnginePool (parallel/engine_pool.h) packages a shared index
+// with a reusable set of contexts behind a thread-safe Run/Sweep facade.
 //
 // There are three ways a CellIndex comes to exist: built from scratch over
-// a point span (the constructor below, one full build), adopted from the
-// streaming layer (streaming/dynamic_cell_index.h), which recomposes the
-// structure incrementally after insert/erase batches and publishes each
-// result as a fresh immutable CellIndex snapshot, or rehydrated from a
-// persisted snapshot file (persist/snapshot.h), which goes through the same
-// adoption constructor — with the arrays either copied out of the file
-// (owned load) or left viewing the file mapping (zero-copy mmap load; the
-// `payload` parameter pins the mapping for the index's lifetime). Queries
-// cannot tell the difference — all paths freeze the same artifact types.
+// a point span (the from-points constructor, the only caller of BuildCells),
+// adopted from the streaming layer (streaming/dynamic_cell_index.h), which
+// recomposes the structure incrementally after insert/erase batches and
+// publishes each result as a fresh immutable CellIndex snapshot, or
+// rehydrated from a persisted snapshot file (persist/snapshot.h), which goes
+// through the same adoption constructor — with the arrays either copied out
+// of the file (owned load) or left viewing the file mapping (zero-copy mmap
+// load; the `payload` parameter pins the mapping for the index's lifetime).
+// Queries cannot tell the difference — all paths freeze the same artifact
+// types.
 #ifndef PDBSCAN_DBSCAN_CELL_INDEX_H_
 #define PDBSCAN_DBSCAN_CELL_INDEX_H_
 
 #include <algorithm>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "dbscan/cell_source.h"
+#include "dbscan/box_cells.h"
 #include "dbscan/cell_structure.h"
+#include "dbscan/grid.h"
 #include "dbscan/mark_core.h"
 #include "dbscan/query.h"
 #include "dbscan/stats.h"
@@ -57,51 +62,85 @@
 #include "dbscan/workspace.h"
 #include "geometry/point.h"
 #include "geometry/quadtree.h"
+#include "telemetry/trace.h"
 #include "util/timer.h"
 
 namespace pdbscan::dbscan {
 
+// The epsilon-independent part of cell construction for one point set: the
+// dataset bounds the grid anchors its cells at, and the (x, y, id)-sorted
+// order the 2D box strips scan. BuildCells fills in whatever its method
+// needs and reuses it on later calls, so an epsilon sweep over the same
+// points (DbscanEngine) computes it once.
+template <int D>
+struct CellLayout {
+  std::optional<geometry::BBox<D>> bounds;
+  std::optional<std::vector<uint32_t>> x_order;
+};
+
+// Builds the cell structure of `points` at `epsilon`: grid cells for any D
+// (under `metric`), or 2D box cells (Euclidean). `layout`, when non-null,
+// must describe these same points; it is read where filled and filled where
+// empty.
+template <int D>
+CellStructure<D> BuildCells(std::span<const geometry::Point<D>> points,
+                            double epsilon, CellMethod method, Metric metric,
+                            CellLayout<D>* layout = nullptr) {
+  CellLayout<D> local;
+  CellLayout<D>& cached = layout != nullptr ? *layout : local;
+  if (method == CellMethod::kBox) {
+    if constexpr (D == 2) {
+      if (!cached.x_order) cached.x_order = BoxSortByX(points);
+      return BuildBoxCells(points, epsilon, *cached.x_order);
+    } else {
+      throw std::invalid_argument("the box cell method is 2D only");
+    }
+  }
+  if (!cached.bounds) cached.bounds = ComputeBounds<D>(points);
+  return BuildGrid<D>(points, epsilon, &*cached.bounds, metric);
+}
+
 template <int D>
 class CellIndex {
  public:
+  using Quadtrees = std::vector<std::unique_ptr<geometry::CellQuadtree<D>>>;
+
   // Builds the frozen index: cell structure, per-cell quadtrees when
   // options use the kQuadtree range-count path, and MarkCore neighbor
-  // counts saturated at `counts_cap`. The build runs through the SAME
-  // CellSource the DbscanEngine uses — one builder path, so engine and
-  // index layouts cannot diverge. Build counters/timings go to `stats`
+  // counts saturated at `counts_cap`. Build counters/timings go to `stats`
   // (nullptr: the process-wide GlobalStats()). `points` is only read
   // during construction and need not outlive it — the index keeps its own
-  // reordered copy inside the CellStructure.
+  // reordered copy inside the CellStructure. `layout` optionally caches the
+  // epsilon-independent layout of `points` across builds (see CellLayout).
   CellIndex(std::span<const geometry::Point<D>> points, double epsilon,
             size_t counts_cap, Options options = Options(),
-            PipelineStats* stats = nullptr)
+            PipelineStats* stats = nullptr, CellLayout<D>* layout = nullptr)
       : epsilon_(epsilon),
         counts_cap_(counts_cap),
         options_(std::move(options)) {
-    if (epsilon <= 0) throw std::invalid_argument("epsilon must be positive");
+    ValidateEpsilon(epsilon);
     if (counts_cap == 0) {
       throw std::invalid_argument("counts_cap must be positive");
     }
     ValidateMetricOptions(options_);
     PipelineStats& sink = stats != nullptr ? *stats : GlobalStats();
-    source_.set_stats(stats);
-    source_.Reset(points, options_.cell_method, options_.metric);
-    // From here on, the exact EnsureCounts sequence of DbscanEngine; after
-    // the constructor returns, source_ is never touched again (its caches
-    // become the frozen payload; the `points` span it saw is not re-read).
     util::Timer timer;
-    const CellStructure<D>& cells = source_.Acquire(epsilon);
+    {
+      telemetry::TraceSpan span("build_cells");
+      cells_ = BuildCells<D>(points, epsilon, options_.cell_method,
+                             options_.metric, layout);
+    }
+    sink.cells_built.fetch_add(1, std::memory_order_relaxed);
     AddSeconds(sink.build_cells_seconds, timer.Seconds());
     timer.Reset();
-    const std::vector<std::unique_ptr<geometry::CellQuadtree<D>>>* trees =
-        nullptr;
-    if (options_.range_count == RangeCountMethod::kQuadtree) {
-      trees = &source_.AcquireQuadtrees();
+    {
+      telemetry::TraceSpan span("mark_core_counts");
+      BuildQuadtrees();
+      std::vector<uint32_t> counts;
+      MarkCoreCounts(cells_, counts_cap_, options_.range_count, &quadtrees_,
+                     counts, &sink);
+      neighbor_counts_ = std::move(counts);
     }
-    std::vector<uint32_t> counts;
-    MarkCoreCounts(cells, counts_cap_, options_.range_count, trees, counts,
-                   &sink);
-    neighbor_counts_ = std::move(counts);
     sink.counts_built.fetch_add(1, std::memory_order_relaxed);
     AddSeconds(sink.mark_core_seconds, timer.Seconds());
   }
@@ -126,15 +165,17 @@ class CellIndex {
   // layout, so a rehydrated index answers over-cap queries identically to
   // the index that was saved) — an O(n) cost, which is why the incremental
   // streaming producer restricts itself to kScan in its own constructor.
+  // No build counters tick here: the producer accounts for what it rebuilt
+  // vs. retained in its own sink, so `stats` is accepted but unused.
   CellIndex(CellStructure<D> cells,
             containers::FlatArray<uint32_t> neighbor_counts, size_t counts_cap,
-            Options options = Options(), PipelineStats* stats = nullptr,
+            Options options = Options(), PipelineStats* /*stats*/ = nullptr,
             std::shared_ptr<const void> payload = nullptr)
       : epsilon_(cells.epsilon),
         counts_cap_(counts_cap),
         options_(std::move(options)),
         payload_(std::move(payload)) {
-    if (epsilon_ <= 0) throw std::invalid_argument("epsilon must be positive");
+    ValidateEpsilon(epsilon_);
     if (counts_cap == 0) {
       throw std::invalid_argument("counts_cap must be positive");
     }
@@ -147,19 +188,14 @@ class CellIndex {
       throw std::invalid_argument(
           "neighbor_counts must cover every reordered point");
     }
-    // No build counters tick here: the producer (DynamicCellIndex) accounts
-    // for what it rebuilt vs. retained in its own sink.
-    source_.set_stats(stats);
     // Safety net for producers predating the SoA lanes: an adopted
     // structure without lanes gets owned ones built here, so queries always
     // run vectorized. (Mapped snapshots arrive with strided lane views and
     // pass through untouched.)
     if (!cells.has_soa() && cells.num_points() > 0) cells.BuildSoALanes();
-    source_.AdoptPrebuilt(std::move(cells));
-    if (options_.range_count == RangeCountMethod::kQuadtree) {
-      source_.AcquireQuadtrees();
-    }
+    cells_ = std::move(cells);
     neighbor_counts_ = std::move(neighbor_counts);
+    BuildQuadtrees();
   }
 
   // Convenience factory for the common shared-ownership pattern.
@@ -185,10 +221,10 @@ class CellIndex {
   double epsilon() const { return epsilon_; }
   size_t counts_cap() const { return counts_cap_; }
   const Options& options() const { return options_; }
-  size_t num_points() const { return cells().num_points(); }
-  size_t num_cells() const { return cells().num_cells(); }
+  size_t num_points() const { return cells_.num_points(); }
+  size_t num_cells() const { return cells_.num_cells(); }
 
-  const CellStructure<D>& cells() const { return source_.cells(); }
+  const CellStructure<D>& cells() const { return cells_; }
 
   // Saturated epsilon-neighbor counts per reordered point (cap =
   // counts_cap()); answers every min_pts <= the cap. May view mapped
@@ -200,17 +236,22 @@ class CellIndex {
 
   // Per-cell quadtrees; non-empty only when options().range_count ==
   // kQuadtree. Tree queries (CountInBall etc.) are const and thread-safe.
-  const std::vector<std::unique_ptr<geometry::CellQuadtree<D>>>& quadtrees()
-      const {
-    return source_.quadtrees();
-  }
+  const Quadtrees& quadtrees() const { return quadtrees_; }
 
  private:
+  // Both constructors, once cells_ is final (the trees index into
+  // cells_.points).
+  void BuildQuadtrees() {
+    if (options_.range_count != RangeCountMethod::kQuadtree) return;
+    telemetry::TraceSpan span("build_quadtrees");
+    quadtrees_ = BuildCellQuadtrees(cells_);
+  }
+
   double epsilon_;
   size_t counts_cap_;
   Options options_;
-  // Quiescent after construction: holds the built cells + quadtrees.
-  CellSource<D> source_;
+  CellStructure<D> cells_;
+  Quadtrees quadtrees_;
   containers::FlatArray<uint32_t> neighbor_counts_;
   // Pins backing storage (the snapshot file mapping) when the structure or
   // counts are views; null for owned indexes.

@@ -22,7 +22,7 @@ namespace pdbscan::dbscan {
 
 // In-place variant of ClusterBorder: fills `memberships` (resized to the
 // point count; existing inner vectors are cleared but keep their capacity,
-// which is what makes the DbscanEngine's workspace reuse pay off).
+// which is what makes a QueryContext's workspace reuse pay off).
 template <int D>
 void ClusterBorderInto(const CellStructure<D>& cells,
                        const std::vector<uint8_t>& core_flags,

@@ -1,21 +1,24 @@
-// DbscanEngine — the stateful, reusable DBSCAN pipeline.
+// DbscanEngine — the reusable one-thread DBSCAN surface for parameter sweeps.
 //
-// The one-shot RunDbscan/pdbscan::Dbscan path rebuilds everything per call;
-// the engine separates one-time preprocessing from per-query work so that
-// parameter sweeps (the paper's Figures 6-10 evaluation pattern) pay the
-// build cost once:
+// The engine is a cache over the two halves every surface shares: a frozen
+// CellIndex (cells + quadtrees + saturated MarkCore counts, cell_index.h)
+// for the last epsilon, and one QueryContext that answers min_pts queries
+// against it. Parameter sweeps (the paper's Figures 6-10 evaluation
+// pattern) therefore pay the build cost once:
 //
-//   * the cell structure (and the kQuadtree range-count trees) depends only
-//     on epsilon, so Run calls and Sweep lists at a fixed epsilon reuse it
-//     outright (CellSource cache);
-//   * the saturated MarkCore neighbor counts answer every min_pts up to the
-//     cap they were computed with, so a min_pts sweep runs MarkCore once;
+//   * the index depends only on epsilon, so Run calls and Sweep lists at a
+//     fixed epsilon reuse it outright (cells_reused ticks);
+//   * the saturated counts answer every min_pts up to the cap the index was
+//     built with — Run builds at cap = min_pts, Sweep at cap = max(list) —
+//     and a larger min_pts at the same epsilon is recounted once into the
+//     context's private over-cap cache, which then serves later queries;
 //   * epsilon changes reuse the epsilon-independent layout (dataset bounds
-//     for the grid, the x-sorted order for 2D boxes) plus every workspace
-//     allocation (Workspace buffers are assigned, never reconstructed).
+//     for the grid, the x-sorted order for 2D boxes; see CellLayout) plus
+//     every workspace allocation of the context.
 //
 // Results are bit-identical to one-shot pdbscan::Dbscan calls with the same
-// parameters: both paths run exactly this code, every stage of which is a
+// parameters: both build through the same CellIndex constructor and query
+// through the same RunQueryFromCounts (query.h), every stage of which is a
 // deterministic function of (points, epsilon, min_pts, options).
 //
 // Typical use:
@@ -23,16 +26,14 @@
 //   pdbscan::dbscan::DbscanEngine<2> engine(options);
 //   engine.SetPoints(pts);
 //   auto sweep = engine.Sweep(/*epsilon=*/1.0, {5, 10, 50, 100});
-//   auto one = engine.Run(/*epsilon=*/2.0, /*min_pts=*/10);  // Rebuilds cells.
+//   auto one = engine.Run(/*epsilon=*/2.0, /*min_pts=*/10);  // New index.
 //
-// Ownership and threading: one engine is one mutation site — its CellSource
-// caches and Workspace are rewritten by every call, so a single engine must
-// not be shared between threads without external serialization. For
-// concurrent query serving, freeze the build products into a shared
-// CellIndex (cell_index.h) and give each thread a QueryContext, or use
-// parallel::EnginePool which manages both; results stay bit-identical
-// because all three surfaces execute the same RunQueryFromCounts pipeline
-// (query.h).
+// Ownership and threading: one engine is one mutation site — its cached
+// index and its context are replaced or rewritten by every call, so a
+// single engine must not be shared between threads without external
+// serialization. For concurrent query serving, share one CellIndex and give
+// each thread a QueryContext, or use parallel::EnginePool which manages
+// both.
 //
 // Per-stage timings and build/reuse counters accumulate in the engine's
 // stats sink — the process-wide GlobalStats() unless a per-engine
@@ -42,22 +43,17 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "dbscan/cell_source.h"
-#include "dbscan/cell_structure.h"
-#include "dbscan/mark_core.h"
-#include "dbscan/query.h"
+#include "dbscan/cell_index.h"
 #include "dbscan/stats.h"
 #include "dbscan/types.h"
-#include "dbscan/workspace.h"
 #include "geometry/point.h"
 #include "parallel/scheduler.h"
-#include "telemetry/trace.h"
-#include "util/timer.h"
 
 namespace pdbscan::dbscan {
 
@@ -69,71 +65,63 @@ class DbscanEngine {
   explicit DbscanEngine(Options options = Options(),
                         PipelineStats* stats = nullptr)
       : options_(std::move(options)),
-        stats_(stats != nullptr ? stats : &GlobalStats()) {
-    source_.set_stats(stats_);
-  }
+        stats_(stats != nullptr ? stats : &GlobalStats()),
+        ctx_(stats_) {}
 
   DbscanEngine(const DbscanEngine&) = delete;
   DbscanEngine& operator=(const DbscanEngine&) = delete;
 
-  // Copies `points` into the engine's workspace and drops every cache.
+  // Copies `points` into the engine and drops every cache.
   void SetPoints(std::span<const geometry::Point<D>> points) {
-    ws_.points.resize(points.size());
+    owned_points_.resize(points.size());
     parallel::parallel_for(0, points.size(),
-                           [&](size_t i) { ws_.points[i] = points[i]; });
-    AdoptPoints(
-        std::span<const geometry::Point<D>>(ws_.points.data(), ws_.points.size()));
+                           [&](size_t i) { owned_points_[i] = points[i]; });
+    AdoptPoints(owned_points_);
   }
 
   void SetPoints(const std::vector<geometry::Point<D>>& points) {
     SetPoints(std::span<const geometry::Point<D>>(points));
   }
 
-  // Fills the workspace from row-major runtime-dimension data (`stride`
+  // Fills the engine's copy from row-major runtime-dimension data (`stride`
   // doubles per point, the first D used) without an intermediate vector.
   void SetPointsStrided(const double* data, size_t n, size_t stride) {
-    ws_.points.resize(n);
+    owned_points_.resize(n);
     parallel::parallel_for(0, n, [&](size_t i) {
       for (int k = 0; k < D; ++k) {
-        ws_.points[i][k] = data[i * stride + static_cast<size_t>(k)];
+        owned_points_[i][k] = data[i * stride + static_cast<size_t>(k)];
       }
     });
-    AdoptPoints(
-        std::span<const geometry::Point<D>>(ws_.points.data(), ws_.points.size()));
+    AdoptPoints(owned_points_);
   }
 
   // References caller-owned points without copying; they must stay alive
-  // and unchanged until the next SetPoints*/destruction. This is what the
-  // one-shot pdbscan::Dbscan wrapper uses on its transient engine.
+  // and unchanged until the next SetPoints*/destruction.
   void SetPointsView(std::span<const geometry::Point<D>> points) {
-    ws_.points.clear();
+    owned_points_.clear();
     AdoptPoints(points);
   }
 
-  // Clusters the current point set. Reuses the cached cell structure when
-  // epsilon is unchanged and the cached neighbor counts when min_pts is at
-  // most the cap they were computed with.
+  // Clusters the current point set, reusing the cached index when epsilon
+  // is unchanged (see the header comment for the counts-cap rules).
   Clustering Run(double epsilon, size_t min_pts) {
-    Validate(epsilon, min_pts);
-    EnsureCounts(epsilon, min_pts);
-    return RunQueryFromCounts(source_.cells(), ws_.neighbor_counts, min_pts,
-                              options_, ws_, *stats_);
+    if (min_pts == 0) throw std::invalid_argument("min_pts must be positive");
+    return ctx_.Run(IndexFor(epsilon, min_pts), min_pts);
   }
 
-  // Batched min_pts sweep at a fixed epsilon: builds the cell structure at
-  // most once and the neighbor counts exactly once (at cap = max of the
-  // list), then answers every setting from them. Results match independent
-  // one-shot runs bit for bit.
+  // Batched min_pts sweep at a fixed epsilon: builds at most one index (at
+  // cap = max of the list) and counts at most once, then answers every
+  // setting from those counts. Results match independent one-shot runs bit
+  // for bit.
   std::vector<Clustering> Sweep(double epsilon,
                                 std::span<const size_t> minpts_list) {
-    Validate(epsilon, 1);
-    return SweepFromCounts<D>(
-        minpts_list, options_, ws_, *stats_,
-        [&](size_t cap)
-            -> std::pair<const CellStructure<D>&, std::span<const uint32_t>> {
-          EnsureCounts(epsilon, cap);
-          return {source_.cells(), ws_.neighbor_counts};
-        });
+    if (minpts_list.empty()) return {};
+    if (std::find(minpts_list.begin(), minpts_list.end(), size_t{0}) !=
+        minpts_list.end()) {
+      throw std::invalid_argument("min_pts must be positive");
+    }
+    const size_t cap = *std::max_element(minpts_list.begin(), minpts_list.end());
+    return ctx_.Sweep(IndexFor(epsilon, cap), minpts_list);
   }
 
   std::vector<Clustering> Sweep(double epsilon,
@@ -150,69 +138,49 @@ class DbscanEngine {
   const Options& options() const { return options_; }
   size_t num_points() const { return points_.size(); }
 
-  // True iff the next Run(epsilon, *) would reuse the cached cell structure.
+  // True iff the next Run(epsilon, *) would reuse the cached index.
   bool has_cells_for(double epsilon) const {
-    return source_.has_cells() && source_.built_epsilon() == epsilon;
+    return index_ != nullptr && index_->epsilon() == epsilon;
   }
 
  private:
   void AdoptPoints(std::span<const geometry::Point<D>> points) {
     points_ = points;
-    source_.Reset(points, options_.cell_method, options_.metric);
-    counts_valid_ = false;
+    layout_ = CellLayout<D>();
+    DropIndex();
   }
 
-  void Validate(double epsilon, size_t min_pts) const {
-    if (epsilon <= 0) throw std::invalid_argument("epsilon must be positive");
-    if (min_pts == 0) throw std::invalid_argument("min_pts must be positive");
-    if (options_.cell_method == CellMethod::kBox && D != 2) {
-      throw std::invalid_argument("the box cell method is 2D only");
-    }
-    ValidateMetricOptions(options_);
+  // Releases the cached index, and the context's over-cap recount pinned to
+  // it, so the next build does not hold two indexes at once.
+  void DropIndex() {
+    index_.reset();
+    ctx_.EvictStaleCountsCache(index_);
   }
 
-  // Makes ws_.neighbor_counts valid for the given epsilon with a cap of at
-  // least `cap` (Line 2 + Line 3 of Algorithm 1, both cached).
-  void EnsureCounts(double epsilon, size_t cap) {
-    util::Timer timer;
-    const CellStructure<D>& cells = [&]() -> const CellStructure<D>& {
-      telemetry::TraceSpan span("acquire_cells");
-      return source_.Acquire(epsilon);
-    }();
-    AddSeconds(stats_->build_cells_seconds, timer.Seconds());
-
-    if (counts_valid_ && counts_generation_ == source_.generation() &&
-        counts_cap_ >= cap) {
-      stats_->counts_reused.fetch_add(1, std::memory_order_relaxed);
-      return;
+  // The cached index when it was built for `epsilon`, else a fresh one at
+  // counts cap `cap` over the cached layout.
+  const std::shared_ptr<const CellIndex<D>>& IndexFor(double epsilon,
+                                                      size_t cap) {
+    ValidateEpsilon(epsilon);
+    if (has_cells_for(epsilon)) {
+      stats_->cells_reused.fetch_add(1, std::memory_order_relaxed);
+      return index_;
     }
-    timer.Reset();
-    telemetry::TraceSpan count_span("mark_core_counts");
-    const std::vector<std::unique_ptr<geometry::CellQuadtree<D>>>* trees =
-        nullptr;
-    if (options_.range_count == RangeCountMethod::kQuadtree) {
-      trees = &source_.AcquireQuadtrees();
-    }
-    MarkCoreCounts(cells, cap, options_.range_count, trees,
-                   ws_.neighbor_counts, stats_);
-    counts_cap_ = cap;
-    counts_generation_ = source_.generation();
-    counts_valid_ = true;
-    stats_->counts_built.fetch_add(1, std::memory_order_relaxed);
-    AddSeconds(stats_->mark_core_seconds, timer.Seconds());
+    DropIndex();
+    index_ = std::make_shared<const CellIndex<D>>(points_, epsilon, cap,
+                                                  options_, stats_, &layout_);
+    return index_;
   }
 
   Options options_;
   PipelineStats* stats_;
+  // Owned copy of the input (SetPoints / SetPointsStrided); empty in view
+  // mode. points_ spans either it or the caller's points.
+  std::vector<geometry::Point<D>> owned_points_;
   std::span<const geometry::Point<D>> points_;
-  CellSource<D> source_;
-  Workspace<D> ws_;
-
-  // Validity of ws_.neighbor_counts: the cell generation they were computed
-  // against and the min_pts cap they saturate at.
-  bool counts_valid_ = false;
-  size_t counts_cap_ = 0;
-  size_t counts_generation_ = 0;
+  CellLayout<D> layout_;
+  std::shared_ptr<const CellIndex<D>> index_;
+  QueryContext<D> ctx_;
 };
 
 }  // namespace pdbscan::dbscan

@@ -141,8 +141,9 @@ struct CellCoordsEq {
 }  // namespace internal
 
 // Bounding box of `input` (parallel reduce). The grid anchors its cells at
-// bounds.min; the result is epsilon-independent, so the DbscanEngine caches
-// it across epsilon changes and passes it back via the BuildGrid overload.
+// bounds.min; the result is epsilon-independent, so a CellLayout caches it
+// across epsilon changes and BuildCells passes it back as the BuildGrid
+// bounds hint.
 template <int D>
 geometry::BBox<D> ComputeBounds(std::span<const geometry::Point<D>> input) {
   using geometry::BBox;
@@ -342,8 +343,8 @@ void BuildGridAdjacency(CellStructure<D>& cells,
 // Builds the grid cell structure for `input` with parameter `epsilon`.
 // `bounds_hint`, when non-null, skips the reduction pass; its `min` corner
 // becomes the grid anchor origin and is the ONLY field read, so any box
-// containing `input` is valid. The engine cache passes ComputeBounds of
-// the full point set; the sharded build deliberately passes the GLOBAL
+// containing `input` is valid. BuildCells passes ComputeBounds of the full
+// point set; the sharded build deliberately passes the GLOBAL
 // dataset bounds with a shard-subset input so every shard lands on the
 // single-index lattice. Do not start reading other fields of the hint
 // without revisiting those callers.

@@ -135,10 +135,10 @@ void CountCellPoints(
 // Per-point epsilon-neighbor counts, saturated at `cap`: counts[i] ==
 // min(cap, number of points within epsilon of reordered point i, counting
 // itself). Thresholding at any min_pts <= cap reproduces MarkCore exactly
-// (core iff count >= min_pts), which is what lets the DbscanEngine compute
+// (core iff count >= min_pts), which is what lets a CellIndex compute
 // counts once at cap = max(minPts list) and answer a whole min_pts sweep.
 // `trees` must be the cells' quadtrees when method == kQuadtree (pass the
-// engine's cached trees, or BuildCellQuadtrees(cells)); ignored otherwise.
+// index's trees, or BuildCellQuadtrees(cells)); ignored otherwise.
 // Kernel-layer counters accumulate into `stats` (nullptr = GlobalStats()).
 template <int D>
 void MarkCoreCounts(

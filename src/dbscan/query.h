@@ -2,16 +2,12 @@
 // finished Clustering (core flags -> cell-graph connectivity -> border
 // assignment -> deterministic relabeling).
 //
-// This is the code both query surfaces execute, which is what makes their
-// results bit-identical:
-//
-//   * DbscanEngine (engine.h) — single-threaded, owns a mutable CellSource
-//     and re-runs this pipeline against its own cached counts;
-//   * QueryContext (cell_index.h) — one per serving thread, runs this
-//     pipeline against a frozen shared CellIndex. The CellIndex may itself
-//     be a full build or a streaming snapshot published by
-//     streaming::DynamicCellIndex — the pipeline only sees (cells, counts),
-//     so it runs off any snapshot unchanged.
+// This is the code every query runs, through QueryContext (cell_index.h):
+// one-shot RunDbscan, DbscanEngine and EnginePool all hold a context and a
+// frozen CellIndex, which is what makes their results bit-identical. The
+// CellIndex may be a full build, a streaming snapshot published by
+// streaming::DynamicCellIndex, a sharded merge or a loaded snapshot — the
+// pipeline only sees (cells, counts), so it runs off any of them unchanged.
 //
 // Everything here reads `cells` and `counts` as const and writes only into
 // the caller's Workspace and stats sink, so any number of calls may run
@@ -102,8 +98,8 @@ Clustering Finalize(const CellStructure<D>& cells,
 
 // Lines 3-5 of Algorithm 1 from precomputed saturated neighbor counts, plus
 // finalization. `neighbor_counts` must have been computed over `cells` with
-// a cap >= min_pts (MarkCoreCounts); it may live in `ws` (the engine's
-// cached counts) or in a shared CellIndex — it is only read. The result is
+// a cap >= min_pts (MarkCoreCounts); it may live in a shared CellIndex or
+// in `ws` (a context's over-cap recount) — it is only read. The result is
 // a deterministic function of (cells, counts, min_pts, options), so every
 // caller with equal inputs produces bit-identical clusterings.
 template <int D>
@@ -164,10 +160,10 @@ Clustering RunQueryFromCounts(const CellStructure<D>& cells,
 
 // Shared min_pts-sweep driver: rejects zero settings, computes cap =
 // max(list), obtains (cells, counts valid up to cap) once from
-// `provide(cap)`, then answers every setting via RunQueryFromCounts. Both
-// sweep surfaces — DbscanEngine::Sweep (engine-cached counts) and
-// QueryContext::Sweep (shared-index or private counts) — are thin wrappers
-// over this, so sweep validation and cap policy cannot diverge.
+// `provide(cap)`, then answers every setting via RunQueryFromCounts.
+// QueryContext::Sweep (shared-index or private counts) wraps this, and
+// DbscanEngine::Sweep and EnginePool::Sweep go through QueryContext, so
+// sweep validation and cap policy cannot diverge.
 template <int D, typename Provider>
 std::vector<Clustering> SweepFromCounts(std::span<const size_t> minpts_list,
                                         const Options& options,

@@ -4,9 +4,8 @@
 // The bucketing heuristic of Section 4.4 exists to *reduce the number of
 // cell connectivity queries*; these counters make that effect measurable
 // (see bench/ablation_bucketing). The build/reuse counters and stage
-// timings make the caching of DbscanEngine and CellIndex observable: a
-// min_pts sweep must report cells_built == 1 no matter how many settings it
-// answers.
+// timings make index builds and reuse observable: a min_pts sweep must
+// report cells_built == 1 no matter how many settings it answers.
 //
 // Ownership model: every stage accumulates into a PipelineStats sink chosen
 // by its caller. Single-threaded callers (one-shot Dbscan, a lone
@@ -38,210 +37,157 @@ inline void AddSeconds(std::atomic<double>& slot, double seconds) {
   }
 }
 
+// The one field table of PipelineStats. Every field appears exactly once,
+// in declaration (and export) order, tagged with its kind:
+//
+//   COUNTER(name)   — std::atomic<size_t> count; MergeFrom sums it.
+//   MAX_GAUGE(name) — std::atomic<size_t> gauge; MergeFrom takes the max.
+//   SECONDS(name)   — std::atomic<double> wall-clock seconds; MergeFrom
+//                     sums it.
+//
+// The struct declaration, MergeFrom, Reset and the telemetry export
+// (telemetry/stats_export.h, metric name == field name) all expand this
+// table, so adding a field is a one-line change. What the fields mean:
+//
+// * connectivity_queries: cell-graph connectivity queries executed
+//   (Connected() calls); pruned_queries: candidate cell pairs skipped
+//   because union-find already had them in the same component;
+//   successful_queries: queries that returned "connected".
+// * cells_built / cells_reused: cell structures built from scratch vs.
+//   served from a DbscanEngine's cached index; counts_built /
+//   counts_reused: MarkCore neighbor-count passes run vs. queries served
+//   from existing counts (an index's shared counts or a context's over-cap
+//   recount).
+// * Streaming (DynamicCellIndex) incremental maintenance: per snapshot,
+//   cells whose contents or eps-neighborhood changed get their points
+//   re-grouped and their MarkCore counts recomputed (cells_rebuilt); every
+//   other cell's counts are copied from the previous snapshot
+//   (cells_retained). "Update cost scales with the dirty footprint" is
+//   exactly cells_rebuilt << cells_rebuilt + cells_retained.
+// * Sharded builds (sharding/sharded_cell_index.h): per-shard structures
+//   built (shards_built), and the boundary-merge accounting. A merged build
+//   counts every cell exactly once — interior cells inside their shard
+//   (shard_interior_cells), seam-adjacent cells in the merge stage
+//   (shard_boundary_cells) — and records every cross-seam adjacency edge it
+//   adds (shard_seam_links). "Merge work scales with the seam, not the
+//   dataset" is exactly shard_boundary_cells << shard_interior_cells +
+//   shard_boundary_cells.
+// * Persistence (persist/): bytes written by snapshot/journal producers,
+//   bytes read back by loaders and journal scans, and journal records
+//   replayed into a restored DynamicCellIndex during recovery. "Recovery
+//   cost is proportional to the delta, not the dataset" is measurable as
+//   journal_records_replayed (and the journal's share of
+//   snapshot_bytes_read) staying small relative to the snapshot size;
+//   bench/throughput_persist.cpp reports all of them.
+// * Serving scheduler (parallel/serving_scheduler.h) admission accounting.
+//   requests_admitted counts submits that entered the queue (or were
+//   cache-served at admission); requests_rejected counts requests resolved
+//   kRejected under overload — the refused newcomer under kRejectNew
+//   (never admitted), or the evicted oldest under kDropOldest (admitted
+//   earlier, so that policy ticks BOTH counters for the victim). Under a
+//   quiescent scheduler with kRejectNew
+//     requests_admitted + requests_rejected == total submits,
+//   and under either policy every submit resolves exactly once
+//   (kOk + kRejected + kTimedOut + kShutdown == total submits).
+//   requests_timed_out counts deadline expiries (queued or mid-execution)
+//   plus lease-deadline expiries of the legacy EnginePool Run/Sweep
+//   surfaces; requests_coalesced counts requests that shared a batched
+//   execution with an earlier one (batch of k -> k-1 coalesced);
+//   cache_hits / cache_misses count admission-time result-cache lookups
+//   (zero while the cache is disabled), so with the cache on
+//     cache_hits + cache_misses == total submits reaching admission
+//   (every submit except those refused after shutdown; under kRejectNew
+//   that sum equals requests_admitted + requests_rejected).
+//   queue_depth_peak is the deepest the admission queue ever got.
+// * Distance-kernel layer (src/kernels/): SIMD batches executed, and points
+//   whose exact distance was never computed because a whole cell was pruned
+//   by its bounding box (kernel_points_pruned_box) or a whole batch by its
+//   first-coordinate partial norm (kernel_points_pruned_norm). The kernels
+//   accumulate into a stack-local kernels::Counters; call sites flush it
+//   here via FlushKernelCounters so the inner loops stay atomics-free.
+//   kernel_dispatch_level is the level the last kernel-using pass ran at
+//   (kernels::Level as int); an aggregate over per-context sinks reports
+//   the highest level used.
+// * Per-stage wall-clock seconds, accumulated across runs.
+//   snapshot_load_seconds is the time inside SnapshotReader::Load
+//   (validation plus owned-mode copies; the mmap path makes this the
+//   headline "cold start in milliseconds" number). shard_merge_seconds
+//   times the sharded boundary-merge stage alone (cross-seam adjacency
+//   discovery + boundary-cell recount). It is an overlay, not a new stage:
+//   the same span is also attributed to build_cells_seconds (adjacency/CSR)
+//   and mark_core_seconds (recount) so stage totals stay comparable with
+//   unsharded builds — don't add it into a sum of the per-stage timers.
+#define PDBSCAN_PIPELINE_STATS_FIELDS(COUNTER, MAX_GAUGE, SECONDS) \
+  COUNTER(connectivity_queries)                                   \
+  COUNTER(pruned_queries)                                         \
+  COUNTER(successful_queries)                                     \
+  COUNTER(cells_built)                                            \
+  COUNTER(cells_reused)                                           \
+  COUNTER(counts_built)                                           \
+  COUNTER(counts_reused)                                          \
+  COUNTER(cells_rebuilt)                                          \
+  COUNTER(cells_retained)                                         \
+  COUNTER(snapshots_published)                                    \
+  COUNTER(shards_built)                                           \
+  COUNTER(shard_interior_cells)                                   \
+  COUNTER(shard_boundary_cells)                                   \
+  COUNTER(shard_seam_links)                                       \
+  COUNTER(snapshot_bytes_written)                                 \
+  COUNTER(snapshot_bytes_read)                                    \
+  COUNTER(journal_records_replayed)                               \
+  COUNTER(requests_admitted)                                      \
+  COUNTER(requests_rejected)                                      \
+  COUNTER(requests_timed_out)                                     \
+  COUNTER(requests_coalesced)                                     \
+  COUNTER(cache_hits)                                             \
+  COUNTER(cache_misses)                                           \
+  MAX_GAUGE(queue_depth_peak)                                     \
+  COUNTER(kernel_batches)                                         \
+  COUNTER(kernel_points_pruned_box)                               \
+  COUNTER(kernel_points_pruned_norm)                              \
+  MAX_GAUGE(kernel_dispatch_level)                                \
+  SECONDS(snapshot_load_seconds)                                  \
+  SECONDS(build_cells_seconds)                                    \
+  SECONDS(mark_core_seconds)                                      \
+  SECONDS(cluster_core_seconds)                                   \
+  SECONDS(cluster_border_seconds)                                 \
+  SECONDS(finalize_seconds)                                       \
+  SECONDS(shard_merge_seconds)
+
 struct PipelineStats {
-  // Connectivity queries actually executed (Connected() calls).
-  std::atomic<size_t> connectivity_queries{0};
-  // Candidate cell pairs skipped because union-find already had them in the
-  // same component.
-  std::atomic<size_t> pruned_queries{0};
-  // Connectivity queries that returned "connected".
-  std::atomic<size_t> successful_queries{0};
+#define PDBSCAN_STATS_DECLARE_COUNT(name) std::atomic<size_t> name{0};
+#define PDBSCAN_STATS_DECLARE_SECONDS(name) std::atomic<double> name{0};
+  PDBSCAN_PIPELINE_STATS_FIELDS(PDBSCAN_STATS_DECLARE_COUNT,
+                                PDBSCAN_STATS_DECLARE_COUNT,
+                                PDBSCAN_STATS_DECLARE_SECONDS)
+#undef PDBSCAN_STATS_DECLARE_COUNT
+#undef PDBSCAN_STATS_DECLARE_SECONDS
 
-  // Engine cache behavior: cell structures built from scratch vs. served
-  // from the engine's cache, and MarkCore neighbor-count passes likewise.
-  std::atomic<size_t> cells_built{0};
-  std::atomic<size_t> cells_reused{0};
-  std::atomic<size_t> counts_built{0};
-  std::atomic<size_t> counts_reused{0};
-
-  // Streaming (DynamicCellIndex) incremental maintenance: per snapshot,
-  // cells whose contents or eps-neighborhood changed get their points
-  // re-grouped and their MarkCore counts recomputed (cells_rebuilt); every
-  // other cell's counts are copied from the previous snapshot
-  // (cells_retained). "Update cost scales with the dirty footprint" is
-  // exactly cells_rebuilt << cells_rebuilt + cells_retained.
-  std::atomic<size_t> cells_rebuilt{0};
-  std::atomic<size_t> cells_retained{0};
-  std::atomic<size_t> snapshots_published{0};
-
-  // Sharded builds (sharding/sharded_cell_index.h): per-shard structures
-  // built, and the boundary-merge accounting. A merged build counts every
-  // cell exactly once — interior cells inside their shard
-  // (shard_interior_cells), seam-adjacent cells in the merge stage
-  // (shard_boundary_cells) — and records every cross-seam adjacency edge it
-  // adds (shard_seam_links). "Merge work scales with the seam, not the
-  // dataset" is exactly shard_boundary_cells << shard_interior_cells +
-  // shard_boundary_cells.
-  std::atomic<size_t> shards_built{0};
-  std::atomic<size_t> shard_interior_cells{0};
-  std::atomic<size_t> shard_boundary_cells{0};
-  std::atomic<size_t> shard_seam_links{0};
-
-  // Persistence (persist/): bytes written by snapshot/journal producers,
-  // bytes read back by loaders and journal scans, and journal records
-  // replayed into a restored DynamicCellIndex during recovery. "Recovery
-  // cost is proportional to the delta, not the dataset" is measurable as
-  // journal_records_replayed (and the journal's share of
-  // snapshot_bytes_read) staying small relative to the snapshot size;
-  // bench/throughput_persist.cpp reports all of them.
-  std::atomic<size_t> snapshot_bytes_written{0};
-  std::atomic<size_t> snapshot_bytes_read{0};
-  std::atomic<size_t> journal_records_replayed{0};
-
-  // Serving scheduler (parallel/serving_scheduler.h) admission accounting.
-  // requests_admitted counts submits that entered the queue (or were
-  // cache-served at admission); requests_rejected counts requests resolved
-  // kRejected under overload — the refused newcomer under kRejectNew
-  // (never admitted), or the evicted oldest under kDropOldest (admitted
-  // earlier, so that policy ticks BOTH counters for the victim). Under a
-  // quiescent scheduler with kRejectNew
-  //   requests_admitted + requests_rejected == total submits,
-  // and under either policy every submit resolves exactly once
-  // (kOk + kRejected + kTimedOut + kShutdown == total submits).
-  // requests_timed_out counts deadline expiries (queued or mid-execution)
-  // plus lease-deadline expiries of the legacy EnginePool Run/Sweep
-  // surfaces; requests_coalesced counts requests that shared a batched
-  // execution with an earlier one (batch of k -> k-1 coalesced);
-  // cache_hits / cache_misses count admission-time result-cache lookups
-  // (zero while the cache is disabled), so with the cache on
-  //   cache_hits + cache_misses == total submits reaching admission
-  // (every submit except those refused after shutdown; under kRejectNew
-  // that sum equals requests_admitted + requests_rejected).
-  std::atomic<size_t> requests_admitted{0};
-  std::atomic<size_t> requests_rejected{0};
-  std::atomic<size_t> requests_timed_out{0};
-  std::atomic<size_t> requests_coalesced{0};
-  std::atomic<size_t> cache_hits{0};
-  std::atomic<size_t> cache_misses{0};
-  // Deepest the admission queue ever got. A gauge like
-  // kernel_dispatch_level: MergeFrom takes the max, not the sum.
-  std::atomic<size_t> queue_depth_peak{0};
-
-  // Distance-kernel layer (src/kernels/): SIMD batches executed, and points
-  // whose exact distance was never computed because a whole cell was pruned
-  // by its bounding box (kernel_points_pruned_box) or a whole batch by its
-  // first-coordinate partial norm (kernel_points_pruned_norm). The kernels
-  // accumulate into a stack-local kernels::Counters; call sites flush it
-  // here via FlushKernelCounters so the inner loops stay atomics-free.
-  std::atomic<size_t> kernel_batches{0};
-  std::atomic<size_t> kernel_points_pruned_box{0};
-  std::atomic<size_t> kernel_points_pruned_norm{0};
-  // Dispatch level the last kernel-using pass ran at (kernels::Level as
-  // int). A gauge, not an accumulator: MergeFrom takes the max so an
-  // aggregate over per-context sinks reports the highest level used.
-  std::atomic<size_t> kernel_dispatch_level{0};
-
-  // Per-stage wall-clock seconds, accumulated across runs.
-  // Wall-clock seconds spent inside SnapshotReader::Load (validation plus
-  // owned-mode copies; the mmap path makes this the headline "cold start
-  // in milliseconds" number).
-  std::atomic<double> snapshot_load_seconds{0};
-
-  std::atomic<double> build_cells_seconds{0};
-  std::atomic<double> mark_core_seconds{0};
-  std::atomic<double> cluster_core_seconds{0};
-  std::atomic<double> cluster_border_seconds{0};
-  std::atomic<double> finalize_seconds{0};
-  // Sharded builds: the boundary-merge stage alone (cross-seam adjacency
-  // discovery + boundary-cell recount). This is an overlay, not a new
-  // stage: the same span is also attributed to build_cells_seconds
-  // (adjacency/CSR) and mark_core_seconds (recount) so stage totals stay
-  // comparable with unsharded builds — don't add it into a sum of the
-  // per-stage timers.
-  std::atomic<double> shard_merge_seconds{0};
-
-  // Adds every counter and timing of `other` into this sink (relaxed reads
-  // and adds). Used by EnginePool to aggregate per-context stats; `other`
-  // should be quiescent for the sums to be a consistent snapshot.
+  // Adds every counter and timing of `other` into this sink and max-merges
+  // the gauges (relaxed reads and adds). Used by EnginePool to aggregate
+  // per-context stats; `other` should be quiescent for the sums to be a
+  // consistent snapshot.
   void MergeFrom(const PipelineStats& other) {
-    auto add = [](std::atomic<size_t>& dst, const std::atomic<size_t>& src) {
-      dst.fetch_add(src.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-    };
-    add(connectivity_queries, other.connectivity_queries);
-    add(pruned_queries, other.pruned_queries);
-    add(successful_queries, other.successful_queries);
-    add(cells_built, other.cells_built);
-    add(cells_reused, other.cells_reused);
-    add(counts_built, other.counts_built);
-    add(counts_reused, other.counts_reused);
-    add(cells_rebuilt, other.cells_rebuilt);
-    add(cells_retained, other.cells_retained);
-    add(snapshots_published, other.snapshots_published);
-    add(shards_built, other.shards_built);
-    add(shard_interior_cells, other.shard_interior_cells);
-    add(shard_boundary_cells, other.shard_boundary_cells);
-    add(shard_seam_links, other.shard_seam_links);
-    add(snapshot_bytes_written, other.snapshot_bytes_written);
-    add(snapshot_bytes_read, other.snapshot_bytes_read);
-    add(journal_records_replayed, other.journal_records_replayed);
-    add(requests_admitted, other.requests_admitted);
-    add(requests_rejected, other.requests_rejected);
-    add(requests_timed_out, other.requests_timed_out);
-    add(requests_coalesced, other.requests_coalesced);
-    add(cache_hits, other.cache_hits);
-    add(cache_misses, other.cache_misses);
-    telemetry::AtomicMax(
-        queue_depth_peak,
-        other.queue_depth_peak.load(std::memory_order_relaxed));
-    add(kernel_batches, other.kernel_batches);
-    add(kernel_points_pruned_box, other.kernel_points_pruned_box);
-    add(kernel_points_pruned_norm, other.kernel_points_pruned_norm);
-    telemetry::AtomicMax(
-        kernel_dispatch_level,
-        other.kernel_dispatch_level.load(std::memory_order_relaxed));
-    AddSeconds(snapshot_load_seconds,
-               other.snapshot_load_seconds.load(std::memory_order_relaxed));
-    AddSeconds(build_cells_seconds,
-               other.build_cells_seconds.load(std::memory_order_relaxed));
-    AddSeconds(mark_core_seconds,
-               other.mark_core_seconds.load(std::memory_order_relaxed));
-    AddSeconds(cluster_core_seconds,
-               other.cluster_core_seconds.load(std::memory_order_relaxed));
-    AddSeconds(cluster_border_seconds,
-               other.cluster_border_seconds.load(std::memory_order_relaxed));
-    AddSeconds(finalize_seconds,
-               other.finalize_seconds.load(std::memory_order_relaxed));
-    AddSeconds(shard_merge_seconds,
-               other.shard_merge_seconds.load(std::memory_order_relaxed));
+#define PDBSCAN_STATS_MERGE_SUM(name)                        \
+  name.fetch_add(other.name.load(std::memory_order_relaxed), \
+                 std::memory_order_relaxed);
+#define PDBSCAN_STATS_MERGE_MAX(name) \
+  telemetry::AtomicMax(name, other.name.load(std::memory_order_relaxed));
+#define PDBSCAN_STATS_MERGE_SECONDS(name) \
+  AddSeconds(name, other.name.load(std::memory_order_relaxed));
+    PDBSCAN_PIPELINE_STATS_FIELDS(PDBSCAN_STATS_MERGE_SUM,
+                                  PDBSCAN_STATS_MERGE_MAX,
+                                  PDBSCAN_STATS_MERGE_SECONDS)
+#undef PDBSCAN_STATS_MERGE_SUM
+#undef PDBSCAN_STATS_MERGE_MAX
+#undef PDBSCAN_STATS_MERGE_SECONDS
   }
 
   void Reset() {
-    connectivity_queries.store(0, std::memory_order_relaxed);
-    pruned_queries.store(0, std::memory_order_relaxed);
-    successful_queries.store(0, std::memory_order_relaxed);
-    cells_built.store(0, std::memory_order_relaxed);
-    cells_reused.store(0, std::memory_order_relaxed);
-    counts_built.store(0, std::memory_order_relaxed);
-    counts_reused.store(0, std::memory_order_relaxed);
-    cells_rebuilt.store(0, std::memory_order_relaxed);
-    cells_retained.store(0, std::memory_order_relaxed);
-    snapshots_published.store(0, std::memory_order_relaxed);
-    shards_built.store(0, std::memory_order_relaxed);
-    shard_interior_cells.store(0, std::memory_order_relaxed);
-    shard_boundary_cells.store(0, std::memory_order_relaxed);
-    shard_seam_links.store(0, std::memory_order_relaxed);
-    snapshot_bytes_written.store(0, std::memory_order_relaxed);
-    snapshot_bytes_read.store(0, std::memory_order_relaxed);
-    journal_records_replayed.store(0, std::memory_order_relaxed);
-    requests_admitted.store(0, std::memory_order_relaxed);
-    requests_rejected.store(0, std::memory_order_relaxed);
-    requests_timed_out.store(0, std::memory_order_relaxed);
-    requests_coalesced.store(0, std::memory_order_relaxed);
-    cache_hits.store(0, std::memory_order_relaxed);
-    cache_misses.store(0, std::memory_order_relaxed);
-    queue_depth_peak.store(0, std::memory_order_relaxed);
-    kernel_batches.store(0, std::memory_order_relaxed);
-    kernel_points_pruned_box.store(0, std::memory_order_relaxed);
-    kernel_points_pruned_norm.store(0, std::memory_order_relaxed);
-    kernel_dispatch_level.store(0, std::memory_order_relaxed);
-    snapshot_load_seconds.store(0, std::memory_order_relaxed);
-    build_cells_seconds.store(0, std::memory_order_relaxed);
-    mark_core_seconds.store(0, std::memory_order_relaxed);
-    cluster_core_seconds.store(0, std::memory_order_relaxed);
-    cluster_border_seconds.store(0, std::memory_order_relaxed);
-    finalize_seconds.store(0, std::memory_order_relaxed);
-    shard_merge_seconds.store(0, std::memory_order_relaxed);
+#define PDBSCAN_STATS_RESET(name) name.store(0, std::memory_order_relaxed);
+    PDBSCAN_PIPELINE_STATS_FIELDS(PDBSCAN_STATS_RESET, PDBSCAN_STATS_RESET,
+                                  PDBSCAN_STATS_RESET)
+#undef PDBSCAN_STATS_RESET
   }
 };
 

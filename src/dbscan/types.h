@@ -96,6 +96,13 @@ struct Options {
   std::string Name() const;
 };
 
+// Throws std::invalid_argument unless `epsilon` is positive. Spelled
+// !(epsilon > 0) so NaN is rejected too; +infinity stays valid (every pair
+// of points is then a neighbor pair). Called by every build surface.
+inline void ValidateEpsilon(double epsilon) {
+  if (!(epsilon > 0)) throw std::invalid_argument("epsilon must be positive");
+}
+
 // Throws std::invalid_argument if `options` combines a non-L2 metric with
 // machinery that is inherently Euclidean (box cells, quadtree counting, USEC,
 // Delaunay, approximate quadtrees). Called by every build surface.

@@ -6,11 +6,12 @@
 // sweep through a warm owner therefore touches the allocator only when a
 // buffer genuinely needs to grow.
 //
-// Ownership model: a Workspace is private, mutable, per-thread state. A
-// DbscanEngine owns one for its whole lifetime; under concurrent serving
-// each QueryContext (cell_index.h) owns one, which is exactly what makes N
-// contexts safe against a single frozen CellIndex — all shared state is
-// const, all mutation lands here. Never share a Workspace between threads.
+// Ownership model: a Workspace is private, mutable, per-thread state owned
+// by one QueryContext (cell_index.h) — standalone under concurrent serving,
+// or inside a DbscanEngine for its whole lifetime. That is exactly what
+// makes N contexts safe against a single frozen CellIndex — all shared
+// state is const, all mutation lands here. Never share a Workspace between
+// threads.
 #ifndef PDBSCAN_DBSCAN_WORKSPACE_H_
 #define PDBSCAN_DBSCAN_WORKSPACE_H_
 
@@ -18,22 +19,18 @@
 #include <vector>
 
 #include "containers/union_find.h"
-#include "geometry/point.h"
 
 namespace pdbscan::dbscan {
 
 template <int D>
 struct Workspace {
-  // Owned copy of the input when the engine owns its points (SetPoints /
-  // SetPointsStrided); unused in view mode.
-  std::vector<geometry::Point<D>> points;
-
-  // Saturated epsilon-neighbor counts per reordered point — the cached
-  // MarkCore artifact that answers every min_pts <= the cap it was built
-  // with (see MarkCoreCounts).
+  // The context's private over-cap recount: saturated epsilon-neighbor
+  // counts per reordered point for a min_pts above the index's counts cap
+  // (answers every min_pts <= the cap it was built with; see
+  // MarkCoreCounts).
   std::vector<uint32_t> neighbor_counts;
 
-  // Core flags derived from neighbor_counts for the current min_pts.
+  // Core flags for the current min_pts.
   std::vector<uint8_t> core_flags;
 
   // Per reordered point, the union-find roots of the clusters it belongs to

@@ -23,10 +23,11 @@
 //                                             // point layout + buffers reused
 //
 // The engine caches whatever the parameters allow: at a fixed epsilon the
-// cell structure (and quadtrees) is reused for every min_pts; across epsilon
-// changes the epsilon-independent layout (dataset bounds, x-sorted order)
-// and all scratch allocations are reused. Labels are bit-identical to
-// one-shot Dbscan calls — both paths run the same engine code.
+// frozen index (cells, quadtrees, counts) is reused for every min_pts;
+// across epsilon changes the epsilon-independent layout (dataset bounds,
+// x-sorted order) and all scratch allocations are reused. Labels are
+// bit-identical to one-shot Dbscan calls — both paths build a CellIndex and
+// query it through a QueryContext.
 //
 // Quickstart (serving concurrent queries):
 //
@@ -194,9 +195,9 @@ using Point = geometry::Point<D>;
 using Point2 = geometry::Point<2>;
 using Point3 = geometry::Point<3>;
 
-// The stateful, reusable clusterer for one thread: caches the cell
-// structure across min_pts changes and the layout across epsilon changes
-// (see dbscan/engine.h for the caching contract).
+// The stateful, reusable clusterer for one thread: caches a CellIndex
+// across min_pts changes and the layout across epsilon changes (see
+// dbscan/engine.h for the caching contract).
 template <int D>
 using DbscanEngine = dbscan::DbscanEngine<D>;
 
@@ -485,7 +486,7 @@ Clustering Dbscan(const std::vector<Point<D>>& points, double epsilon,
 // Runtime-dimension overload over row-major coordinates (n x dim doubles).
 // Throws std::invalid_argument for dimensions not in kSupportedDims — before
 // touching the data, so an unsupported dim never pays the O(n * dim) copy.
-// The coordinates are materialized directly into the engine's workspace
+// The coordinates are materialized directly into the engine's point copy
 // (a single copy, no intermediate vector).
 inline Clustering Dbscan(const double* data, size_t n, int dim, double epsilon,
                          size_t min_pts, const Options& options = Options()) {

@@ -20,11 +20,11 @@
 //     The index pins the mapping alive; the file must stay readable and
 //     unmodified while any loaded index serves.
 //
-// Either way the rehydrated index goes through the SAME
-// CellSource::AdoptPrebuilt adoption path the streaming and sharded
-// producers use, so queries against it are bit-identical to the index that
-// was saved (tests/test_persist.cpp and bench/throughput_persist.cpp
-// enforce this by assertion and exit code).
+// Either way the rehydrated index goes through the SAME CellIndex
+// adoption constructor the streaming and sharded producers use, so queries
+// against it are bit-identical to the index that was saved
+// (tests/test_persist.cpp and bench/throughput_persist.cpp enforce this by
+// assertion and exit code).
 //
 // Corruption safety: magic + version + endianness probe + independent
 // header/payload checksums + exact size accounting (see persist/format.h).

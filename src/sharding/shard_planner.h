@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "dbscan/grid.h"
+#include "dbscan/types.h"
 #include "geometry/point.h"
 
 namespace pdbscan::sharding {
@@ -111,7 +112,7 @@ class ShardPlanner {
   static ShardPlan<D> Plan(std::span<const geometry::Point<D>> points,
                            double epsilon, size_t requested_shards,
                            Metric metric = Metric::kL2) {
-    if (epsilon <= 0) throw std::invalid_argument("epsilon must be positive");
+    ValidateEpsilon(epsilon);
     if (requested_shards == 0) {
       throw std::invalid_argument("shard count must be positive");
     }

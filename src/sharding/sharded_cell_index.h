@@ -179,7 +179,7 @@ class ShardedCellIndex {
 
  private:
   void ValidateConfig(double epsilon, size_t counts_cap) const {
-    if (epsilon <= 0) throw std::invalid_argument("epsilon must be positive");
+    ValidateEpsilon(epsilon);
     if (counts_cap == 0) {
       throw std::invalid_argument("counts_cap must be positive");
     }

@@ -113,7 +113,7 @@ class DynamicCellIndex {
         counts_cap_(counts_cap),
         options_(std::move(options)),
         stats_(stats != nullptr ? stats : &dbscan::GlobalStats()) {
-    if (epsilon <= 0) throw std::invalid_argument("epsilon must be positive");
+    ValidateEpsilon(epsilon);
     if (counts_cap == 0) {
       throw std::invalid_argument("counts_cap must be positive");
     }

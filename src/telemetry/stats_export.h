@@ -1,7 +1,8 @@
-// Canonical export table for PipelineStats: one place that maps every
-// counter, gauge and stage timer onto telemetry metric names, so the
-// Prometheus and JSON surfaces (net kStatsRequest, CLI, bench) all agree
-// on naming without each layer re-registering its own struct.
+// Canonical export of PipelineStats: one expansion of the stats field table
+// (PDBSCAN_PIPELINE_STATS_FIELDS in dbscan/stats.h) that maps every
+// counter, gauge and stage timer onto a telemetry metric of the same name,
+// so the Prometheus and JSON surfaces (net kStatsRequest, CLI, bench) all
+// agree on naming without each layer re-registering its own struct.
 //
 // Counters come out as monotonic counters, the two max-merged fields
 // (queue_depth_peak, kernel_dispatch_level) as gauges, and the per-stage
@@ -20,56 +21,16 @@ namespace pdbscan::telemetry {
 
 inline void AppendPipelineStats(const dbscan::PipelineStats& s,
                                 std::vector<MetricValue>& out) {
-  const auto c = [&out](const char* name, const std::atomic<size_t>& v) {
-    AppendCounter(out, name, v.load(std::memory_order_relaxed));
-  };
-  const auto sec = [&out](const char* name, const std::atomic<double>& v) {
-    MetricValue mv;
-    mv.name = name;
-    mv.kind = MetricValue::Kind::kCounter;
-    mv.value = v.load(std::memory_order_relaxed);
-    out.push_back(std::move(mv));
-  };
-
-  c("connectivity_queries", s.connectivity_queries);
-  c("pruned_queries", s.pruned_queries);
-  c("successful_queries", s.successful_queries);
-  c("cells_built", s.cells_built);
-  c("cells_reused", s.cells_reused);
-  c("counts_built", s.counts_built);
-  c("counts_reused", s.counts_reused);
-  c("cells_rebuilt", s.cells_rebuilt);
-  c("cells_retained", s.cells_retained);
-  c("snapshots_published", s.snapshots_published);
-  c("shards_built", s.shards_built);
-  c("shard_interior_cells", s.shard_interior_cells);
-  c("shard_boundary_cells", s.shard_boundary_cells);
-  c("shard_seam_links", s.shard_seam_links);
-  c("snapshot_bytes_written", s.snapshot_bytes_written);
-  c("snapshot_bytes_read", s.snapshot_bytes_read);
-  c("journal_records_replayed", s.journal_records_replayed);
-  c("requests_admitted", s.requests_admitted);
-  c("requests_rejected", s.requests_rejected);
-  c("requests_timed_out", s.requests_timed_out);
-  c("requests_coalesced", s.requests_coalesced);
-  c("cache_hits", s.cache_hits);
-  c("cache_misses", s.cache_misses);
-  AppendGauge(out, "queue_depth_peak",
-              static_cast<double>(
-                  s.queue_depth_peak.load(std::memory_order_relaxed)));
-  c("kernel_batches", s.kernel_batches);
-  c("kernel_points_pruned_box", s.kernel_points_pruned_box);
-  c("kernel_points_pruned_norm", s.kernel_points_pruned_norm);
-  AppendGauge(out, "kernel_dispatch_level",
-              static_cast<double>(
-                  s.kernel_dispatch_level.load(std::memory_order_relaxed)));
-  sec("snapshot_load_seconds", s.snapshot_load_seconds);
-  sec("build_cells_seconds", s.build_cells_seconds);
-  sec("mark_core_seconds", s.mark_core_seconds);
-  sec("cluster_core_seconds", s.cluster_core_seconds);
-  sec("cluster_border_seconds", s.cluster_border_seconds);
-  sec("finalize_seconds", s.finalize_seconds);
-  sec("shard_merge_seconds", s.shard_merge_seconds);
+#define PDBSCAN_EXPORT_COUNTER(name) \
+  AppendCounter(out, #name,          \
+                static_cast<double>(s.name.load(std::memory_order_relaxed)));
+#define PDBSCAN_EXPORT_GAUGE(name) \
+  AppendGauge(out, #name,          \
+              static_cast<double>(s.name.load(std::memory_order_relaxed)));
+  PDBSCAN_PIPELINE_STATS_FIELDS(PDBSCAN_EXPORT_COUNTER, PDBSCAN_EXPORT_GAUGE,
+                                PDBSCAN_EXPORT_COUNTER)
+#undef PDBSCAN_EXPORT_COUNTER
+#undef PDBSCAN_EXPORT_GAUGE
 }
 
 }  // namespace pdbscan::telemetry

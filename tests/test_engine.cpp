@@ -2,6 +2,7 @@
 // produce labels bit-identical to fresh one-shot Dbscan calls, across
 // worker counts and across the grid/box/quadtree variants, and a min_pts
 // sweep builds the cell structure exactly once.
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -140,7 +141,10 @@ TEST(EngineReuse, CellCacheKeyedOnEpsilon) {
   EXPECT_EQ(stats.cells_built.load(), 1u);
   EXPECT_GE(stats.cells_reused.load(), 1u);
   (void)engine.Run(1.0, 7);  // Under the cap: cells and counts both reused.
-  EXPECT_EQ(stats.counts_reused.load(), 1u);
+  // counts_reused follows QueryContext's rule: every query served from
+  // existing counts ticks it — the first Run (the index's own counts) and
+  // this one (the context's recount at cap 10).
+  EXPECT_EQ(stats.counts_reused.load(), 2u);
   (void)engine.Run(2.0, 5);  // New epsilon: rebuild.
   EXPECT_EQ(stats.cells_built.load(), 2u);
   EXPECT_FALSE(engine.has_cells_for(1.0));
@@ -193,6 +197,29 @@ TEST(EngineValidation, InvalidArgumentsThrow) {
   std::vector<Point<3>> pts3 = {Point<3>{{0, 0, 0}}};
   engine3.SetPoints(pts3);
   EXPECT_THROW(engine3.Run(1.0, 3), std::invalid_argument);
+}
+
+// `epsilon <= 0` lets NaN through; every build surface must reject it.
+TEST(EngineValidation, NanEpsilonThrowsOnEverySurface) {
+  std::vector<Point<2>> lattice;
+  for (int x = 0; x < 37; ++x) {
+    for (int y = 0; y < 27; ++y) {
+      lattice.push_back(Point<2>{{double(x), double(y)}});
+    }
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Dbscan<2>(lattice, nan, 5), std::invalid_argument);
+  EXPECT_THROW(CellIndex<2>::Build(lattice, nan, 5), std::invalid_argument);
+  DbscanEngine<2> engine;
+  engine.SetPoints(lattice);
+  EXPECT_THROW(engine.Run(nan, 5), std::invalid_argument);
+  EXPECT_THROW(engine.Sweep(nan, {5}), std::invalid_argument);
+  EXPECT_THROW(StreamingClusterer<2>(nan, 5), std::invalid_argument);
+  EXPECT_THROW(ShardedCellIndex<2>(lattice, nan, 5, 2), std::invalid_argument);
+  // Infinity stays valid: every point is every other point's neighbor.
+  EXPECT_EQ(Dbscan<2>(lattice, std::numeric_limits<double>::infinity(), 5)
+                .num_clusters,
+            1u);
 }
 
 TEST(EngineEdge, EmptyAndSweepOfOne) {

@@ -1,9 +1,9 @@
 // Quality-metric unit tests (ARI / NMI / noise ratio / histogram /
 // checksum against hand-computed references) and the golden-label corpus:
-// every execution surface (engine, pool, sharded, streaming, serving,
-// persisted round-trip) x every metric (L2, L1, Linf) must reproduce the
-// pinned ground-truth labels of tests/data/ *verbatim* — same partition,
-// same first-appearance ids, same FNV-1a label checksum.
+// every execution surface (one-shot, warm engine, pool, sharded, streaming,
+// serving, persisted round-trip) x every metric (L2, L1, Linf) must
+// reproduce the pinned ground-truth labels of tests/data/ *verbatim* — same
+// partition, same first-appearance ids, same FNV-1a label checksum.
 //
 // The corpus geometry makes one .labels file the truth under all three
 // metrics (see tests/data/README.md), so a label flip anywhere in the
@@ -156,7 +156,7 @@ void CheckGoldenDataset(const std::string& name) {
     const std::string context =
         name + " metric=" + MetricName(metric);
 
-    // Engine (reference surface): labels must equal the pinned truth
+    // One-shot (reference surface): labels must equal the pinned truth
     // verbatim — same partition AND same first-appearance ids.
     const Clustering reference = Dbscan<D>(pts, kEps, kMinPts, options);
     EXPECT_EQ(reference.cluster, truth) << context;
@@ -175,6 +175,21 @@ void CheckGoldenDataset(const std::string& name) {
     EXPECT_EQ(q.ari, 1.0) << context;
     EXPECT_NEAR(q.nmi, 1.0, 1e-12) << context;
     EXPECT_EQ(q.label_checksum, checksum) << context;
+
+    // Warm engine: a cached index at another epsilon (small enough that its
+    // labels differ, so a stale index fails here), then kEps built at a cap
+    // below kMinPts, a query above that cap (the context's recount), and
+    // finally kMinPts served from that recount.
+    {
+      DbscanEngine<D> engine(options);
+      engine.SetPoints(pts);
+      (void)engine.Run(kEps / 4, kMinPts);
+      (void)engine.Run(kEps, kMinPts - 1);
+      (void)engine.Run(kEps, kMinPts + 2);
+      const Clustering got = engine.Run(kEps, kMinPts);
+      EXPECT_EQ(got.cluster, truth) << context << " mode=engine";
+      ExpectIdentical(reference, got, context + " mode=engine");
+    }
 
     // Pool: frozen CellIndex served through an EnginePool.
     {

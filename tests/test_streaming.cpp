@@ -272,13 +272,25 @@ TEST(Streaming, InvalidArgumentsThrow) {
 // The adopted-snapshot constructor rejects mismatched artifacts.
 TEST(Streaming, AdoptionConstructorValidates) {
   const auto pts = GenerateShape<2>(Shape::kUniform, 50, 5);
-  dbscan::CellSource<2> source;
-  source.Reset(std::span<const Point<2>>(pts), CellMethod::kGrid);
-  dbscan::CellStructure<2> cells = source.Acquire(1.0);  // Copy out.
-  std::vector<uint32_t> short_counts(cells.num_points() - 1, 1);
-  EXPECT_THROW(dbscan::CellIndex<2>(std::move(cells), std::move(short_counts),
-                                    5),
-               std::invalid_argument);
+  const auto cells_for = [&](Metric metric) {
+    return dbscan::BuildCells<2>(std::span<const Point<2>>(pts), 1.0,
+                                 CellMethod::kGrid, metric);
+  };
+  const auto adopt = [](dbscan::CellStructure<2> cells, size_t num_counts,
+                        size_t counts_cap) {
+    dbscan::CellIndex<2> index(std::move(cells),
+                               std::vector<uint32_t>(num_counts, 1),
+                               counts_cap);
+  };
+  const size_t n = pts.size();
+  // Matching artifacts are accepted.
+  EXPECT_NO_THROW(adopt(cells_for(Metric::kL2), n, 5));
+  // Counts that miss a point.
+  EXPECT_THROW(adopt(cells_for(Metric::kL2), n - 1, 5), std::invalid_argument);
+  // Cells built for another metric than options.metric (L2 by default).
+  EXPECT_THROW(adopt(cells_for(Metric::kL1), n, 5), std::invalid_argument);
+  // A zero counts cap answers no min_pts.
+  EXPECT_THROW(adopt(cells_for(Metric::kL2), n, 0), std::invalid_argument);
 }
 
 }  // namespace
