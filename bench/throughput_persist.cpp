@@ -14,10 +14,11 @@
 //   2. The same round trip at several min_pts settings (within and beyond
 //      the saved counts cap, exercising the recount path over loaded —
 //      including mapped — storage).
-//   3. Journal recovery — a journaled streaming run with a mid-stream
-//      checkpoint; recovery (load checkpoint + replay the delta) must be
-//      bit-identical to the uninterrupted writer and cost replay ~ delta,
-//      not dataset.
+//   3. Journal recovery — a WriterNode run with a manual mid-stream
+//      checkpoint, then a timed WriterNode recovery (owned checkpoint load
+//      + replay of the delta) and a timed kMapped ReplicaNode cold start.
+//      Both must be bit-identical to the uninterrupted writer and replay
+//      exactly the delta (journal_records_replayed), not the dataset.
 //
 // EXIT CODE enforces the acceptance property: every bit-identity check
 // must pass (and every load must be no slower than the rebuild it
@@ -132,21 +133,25 @@ int main() {
   }
   sweep_table.Print();
 
-  // --- Phase 3: snapshot + journal recovery of the streaming path. --------
+  // --- Phase 3: checkpoint + journal recovery of a live dataset. ----------
   std::printf("\n--- streaming recovery: checkpoint + journal replay ---\n");
   const size_t batch = std::max<size_t>(n / 100, 1);
   const size_t batches_before = 4, batches_after = 4;
-  const fs::path stream_dir = dir / "stream";
-  fs::create_directories(stream_dir);
+  const std::string stream_dir = (dir / "stream").string();
+  WriterOptions manual;
+  manual.checkpoint_every = 0;
+  Clustering want;
+  size_t live_points = 0;
   {
-    PersistentClusterer<2> writer(stream_dir.string(), eps, counts_cap);
+    WriterNode<2> writer(stream_dir, eps, counts_cap, Options(), manual);
     uint64_t cursor = 0;
     for (size_t b = 0; b < batches_before + batches_after; ++b) {
       if (b == batches_before) {
         timer.Reset();
         writer.Checkpoint();
         std::printf("checkpoint after %zu batches: %.3fs (%zu points)\n",
-                    batches_before, timer.Seconds(), writer.num_points());
+                    batches_before, timer.Seconds(),
+                    writer.index().num_points());
       }
       const auto inserts = data::SsVarden<2>(batch, /*seed=*/1000 + b);
       std::vector<uint64_t> erases;
@@ -156,28 +161,41 @@ int main() {
       writer.ApplyUpdates(std::span<const Point<2>>(inserts),
                           std::span<const uint64_t>(erases));
     }
-    // Uninterrupted state to compare recovery against.
-    const Clustering want = writer.Run(min_pts);
-    timer.Reset();
-    PersistOptions popts;
-    popts.load_mode = LoadMode::kMapped;
-    PersistentClusterer<2> recovered(stream_dir.string(), eps, counts_cap,
-                                     Options(), popts);
-    const double recover_seconds = timer.Seconds();
-    const bool identical =
-        Identical(want, recovered.Run(min_pts));
-    all_identical = all_identical && identical;
-    const size_t replayed = recovered.records_replayed();
+    // Uninterrupted state to compare recovery against; the writer then
+    // closes and recovery reopens its directory.
+    want = writer.pool().Run(min_pts);
+    live_points = writer.index().num_points();
+  }
+  auto report = [&](const char* path, double seconds,
+                    const dbscan::PipelineStats& stats,
+                    EnginePool<2>& pool) {
+    const bool identical = Identical(want, pool.Run(min_pts));
+    const size_t replayed = stats.journal_records_replayed.load();
     const bool delta_proportional = replayed == batches_after;
-    all_identical = all_identical && delta_proportional;
-    std::printf("recovery: %.3fs, %zu journal records replayed (expected "
-                "%zu), %zu live points, identical=%s\n",
-                recover_seconds, replayed, batches_after,
-                recovered.num_points(), identical ? "yes" : "NO");
-    std::printf("#csv persist,recover,%zu,%.6f,%zu,%s,%s\n",
-                recovered.num_points(), recover_seconds, replayed,
-                identical ? "yes" : "NO",
+    all_identical = all_identical && identical && delta_proportional;
+    std::printf("%s: %.3fs, %zu journal records replayed (expected %zu), "
+                "%zu live points, identical=%s\n",
+                path, seconds, replayed, batches_after, live_points,
+                identical ? "yes" : "NO");
+    std::printf("#csv persist,%s,%zu,%.6f,%zu,%s,%s\n", path, live_points,
+                seconds, replayed, identical ? "yes" : "NO",
                 delta_proportional ? "yes" : "NO");
+  };
+  {
+    dbscan::PipelineStats stats;
+    timer.Reset();
+    WriterNode<2> recovered(stream_dir, eps, counts_cap, Options(), manual,
+                            &stats);
+    report("recover-writer", timer.Seconds(), stats, recovered.pool());
+  }
+  {
+    dbscan::PipelineStats stats;
+    timer.Reset();
+    // ReplicaOptions' default load mode is kMapped.
+    ReplicaNode<2> replica(stream_dir, eps, counts_cap, Options(),
+                           ReplicaOptions(), &stats);
+    report("cold-start-replica-mapped", timer.Seconds(), stats,
+           replica.pool());
   }
 
   fs::remove_all(dir);

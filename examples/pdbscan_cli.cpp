@@ -32,9 +32,6 @@
 //                       dimension is auto-detected.
 //     --load-mode MODE  owned (default) copies the snapshot into memory;
 //                       mapped serves it zero-copy from the file mapping
-//     --journal FILE    with --load-index: replay this streaming update
-//                       journal on top of the loaded checkpoint before
-//                       querying (recovery = snapshot + journal)
 //     --trace           enable tracing spans for the run and print the
 //                       assembled span tree (total/self times) to stderr;
 //                       PDBSCAN_TRACE=1 in the environment does the same
@@ -307,7 +304,7 @@ int main(int argc, char** argv) {
                  "[--rho R] [--bucketing] [--threads T] "
                  "[--out FILE] [--save-index FILE] [--counts-cap N] "
                  "[--load-index FILE] [--load-mode owned|mapped] "
-                 "[--journal FILE] [--trace]\n",
+                 "[--trace]\n",
                  argv[0]);
     return 2;
   }
@@ -315,7 +312,7 @@ int main(int argc, char** argv) {
   const double epsilon = std::atof(argv[2]);
   const size_t minpts = static_cast<size_t>(std::atoll(argv[3]));
   pdbscan::Options options;
-  std::string out_path, save_index, load_index, journal_path, quality_path;
+  std::string out_path, save_index, load_index, quality_path;
   std::string mode = "engine";
   pdbscan::LoadMode load_mode = pdbscan::LoadMode::kOwned;
   size_t counts_cap = 0;
@@ -375,18 +372,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "unknown --load-mode: %s\n", mode.c_str());
         return 2;
       }
-    } else if (arg == "--journal") {
-      journal_path = next();
     } else if (arg == "--trace") {
       trace = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;
     }
-  }
-  if (!journal_path.empty() && load_index.empty()) {
-    std::fprintf(stderr, "--journal requires --load-index\n");
-    return 2;
   }
   pdbscan::telemetry::InitTraceFromEnv();
   if (trace) pdbscan::telemetry::SetTraceEnabled(true);
@@ -396,7 +387,7 @@ int main(int argc, char** argv) {
   // propagates from it) carries the run's trace id.
   pdbscan::telemetry::ScopedTraceContext trace_ctx(trace_id);
 
-  // --- Serve from a persisted snapshot (+ optional journal replay). -------
+  // --- Serve from a persisted snapshot. ----------------------------------
   if (!load_index.empty()) {
     try {
       const pdbscan::SnapshotInfo info = pdbscan::PeekSnapshot(load_index);
@@ -411,69 +402,14 @@ int main(int argc, char** argv) {
                    info.has_stream_state ? ", streaming checkpoint" : "");
       return pdbscan::DispatchDim(info.dim, [&]<int D>() -> int {
         pdbscan::util::Timer load_timer;
-        pdbscan::Clustering result;
-        if (journal_path.empty()) {
-          auto index = pdbscan::LoadIndex<D>(load_index, load_mode);
-          std::fprintf(stderr, "loaded in %.3fs (%s)\n", load_timer.Seconds(),
-                       load_mode == pdbscan::LoadMode::kMapped ? "mapped"
-                                                               : "owned");
-          pdbscan::util::Timer run_timer;
-          pdbscan::QueryContext<D> ctx;
-          result = ctx.Run(index, minpts);
-          PrintSummary(result, "loaded-index", run_timer.Seconds());
-        } else {
-          auto loaded =
-              pdbscan::SnapshotReader<D>::Load(load_index, load_mode);
-          if (!loaded.has_stream_state) {
-            std::fprintf(stderr,
-                         "%s is not a streaming checkpoint; cannot replay "
-                         "a journal onto it\n",
-                         load_index.c_str());
-            return 1;
-          }
-          pdbscan::DynamicCellIndex<D> dynamic(
-              loaded.index, std::span<const uint64_t>(loaded.live_ids),
-              loaded.next_id);
-          auto scan = pdbscan::UpdateJournal<D>::Scan(journal_path);
-          pdbscan::UpdateJournal<D>::RequireMatch(
-              journal_path, scan, dynamic.epsilon(), dynamic.counts_cap(),
-              dynamic.options());
-          size_t replayed = 0;
-          if (scan.generation == loaded.journal_generation) {
-            for (const auto& rec : scan.records) {
-              dynamic.ApplyUpdates(
-                  std::span<const pdbscan::Point<D>>(rec.inserts),
-                  std::span<const uint64_t>(rec.erases));
-              ++replayed;
-            }
-          } else if (loaded.journal_generation == scan.generation + 1) {
-            // Crash between checkpoint steps: the snapshot already holds
-            // everything this journal does — nothing to replay.
-            std::fprintf(stderr,
-                         "journal predates the checkpoint (generation %llu "
-                         "vs %llu); already folded in, nothing to replay\n",
-                         static_cast<unsigned long long>(scan.generation),
-                         static_cast<unsigned long long>(
-                             loaded.journal_generation));
-          } else {
-            std::fprintf(stderr,
-                         "error: %s: journal generation %llu cannot pair "
-                         "with snapshot generation %llu\n",
-                         journal_path.c_str(),
-                         static_cast<unsigned long long>(scan.generation),
-                         static_cast<unsigned long long>(
-                             loaded.journal_generation));
-            return 1;
-          }
-          std::fprintf(stderr,
-                       "recovered in %.3fs: %zu journal records replayed, "
-                       "%zu live points\n",
-                       load_timer.Seconds(), replayed, dynamic.num_points());
-          pdbscan::util::Timer run_timer;
-          pdbscan::QueryContext<D> ctx;
-          result = ctx.Run(dynamic.snapshot(), minpts);
-          PrintSummary(result, "recovered-index", run_timer.Seconds());
-        }
+        auto index = pdbscan::LoadIndex<D>(load_index, load_mode);
+        std::fprintf(stderr, "loaded in %.3fs (%s)\n", load_timer.Seconds(),
+                     load_mode == pdbscan::LoadMode::kMapped ? "mapped"
+                                                             : "owned");
+        pdbscan::util::Timer run_timer;
+        pdbscan::QueryContext<D> ctx;
+        const pdbscan::Clustering result = ctx.Run(index, minpts);
+        PrintSummary(result, "loaded-index", run_timer.Seconds());
         const int quality_rc = EmitQuality(result, quality_path);
         if (quality_rc != 0) return quality_rc;
         PrintTrace(trace, trace_id);

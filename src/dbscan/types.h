@@ -94,6 +94,10 @@ struct Options {
 
   // Human-readable configuration name, mirroring the paper's labels.
   std::string Name() const;
+
+  // Field-wise equality: the one configuration comparison persisted
+  // snapshots and journals are checked against.
+  bool operator==(const Options&) const = default;
 };
 
 // Throws std::invalid_argument unless `epsilon` is positive. Spelled

@@ -313,7 +313,8 @@ class PayloadReader {
   explicit PayloadReader(std::span<const uint8_t> bytes) : bytes_(bytes) {}
   bool Raw(void* out, size_t n) {
     if (bytes_.size() - pos_ < n) return false;
-    std::memcpy(out, bytes_.data() + pos_, n);
+    // An empty array decodes into a null data(), which memcpy forbids.
+    if (n != 0) std::memcpy(out, bytes_.data() + pos_, n);
     pos_ += n;
     return true;
   }

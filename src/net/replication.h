@@ -20,9 +20,12 @@
 // bit-identical wherever they were computed (per-process bit-identity is
 // already guaranteed by the engine).
 //
-// Replica catch-up path:
-//   1. Cold start: newest loadable checkpoint-<k>.pdbsnap (mmap by
-//      default), DynamicCellIndex restored from its stream state.
+// Recovery is one path for both node kinds: LoadNewestCheckpoint
+// restores the newest checkpoint-<k>.pdbsnap into a DynamicCellIndex, and
+// ReplaySegments applies the journal records past k. A WriterNode runs it
+// once at construction (owned load; a gap is data loss and throws); a
+// ReplicaNode runs it as cold start + tail:
+//   1. Cold start: the checkpoint (mmap by default).
 //   2. Tail: ListSegmentsSince(k) → replay records k+1, k+2, ... Each
 //      applied batch republishes the snapshot at its generation.
 //   3. Stale-generation window: if the writer checkpointed and PRUNED
@@ -32,11 +35,16 @@
 //      checkpoint. ReplicaOptions::on_cold_start_loaded widens this
 //      window deterministically for tests.
 //
+// A durable single-process live dataset is just a WriterNode with
+// checkpoint_every = 0 and manual Checkpoint() calls; nothing needs to
+// tail it.
+//
 // Crash safety: checkpoints are temp+rename (SnapshotWriter), segment
-// appends are WAL-before-mutate with torn tails truncated on scan — both
-// inherited from persist/. A replica killed at ANY instant holds no locks
-// and wrote nothing; restart is just cold start + tail (fault-injection
-// tests in tests/test_net.cpp kill -9 mid-tail and assert reconvergence).
+// appends are WAL-before-mutate with torn tails truncated on scan, and a
+// newest segment with a torn header is reinitialized — all inherited from
+// persist/. A replica killed at ANY instant holds no locks and wrote
+// nothing; restart is just cold start + tail (fault-injection tests in
+// tests/test_net.cpp kill -9 mid-tail and assert reconvergence).
 //
 // Threading contract: WriterNode::ApplyUpdates from one thread at a time;
 // ReplicaNode tails on its own thread (StartTailing) or the caller's
@@ -108,6 +116,101 @@ inline std::vector<CheckpointFile> ListCheckpoints(const std::string& dir) {
   return out;
 }
 
+// The newest checkpoint in `dir` restored into a DynamicCellIndex, plus
+// the sequence it captures; an empty dataset at sequence 0 when the
+// directory has none. The checkpoint must carry stream state and exactly
+// the caller's (epsilon, counts_cap, options) — a mismatch throws
+// PersistError rather than serving a silently different clustering.
+template <int D>
+struct RestoredCheckpoint {
+  std::unique_ptr<streaming::DynamicCellIndex<D>> index;
+  uint64_t seq = 0;
+};
+
+template <int D>
+RestoredCheckpoint<D> LoadNewestCheckpoint(const std::string& dir,
+                                           double epsilon, size_t counts_cap,
+                                           const Options& options,
+                                           persist::LoadMode mode,
+                                           dbscan::PipelineStats* stats) {
+  const std::vector<CheckpointFile> checkpoints = ListCheckpoints(dir);
+  if (checkpoints.empty()) {
+    return {std::make_unique<streaming::DynamicCellIndex<D>>(
+                epsilon, counts_cap, options, stats),
+            0};
+  }
+  const CheckpointFile& cp = checkpoints.back();
+  persist::LoadedSnapshot<D> loaded =
+      persist::SnapshotReader<D>::Load(cp.path, mode, stats);
+  if (!loaded.has_stream_state || loaded.journal_generation != cp.seq) {
+    throw persist::PersistError(
+        cp.path + ": not a streaming checkpoint of sequence " +
+        std::to_string(cp.seq));
+  }
+  if (loaded.index->epsilon() != epsilon ||
+      loaded.index->counts_cap() != counts_cap ||
+      !(loaded.index->options() == options)) {
+    throw persist::PersistError(
+        cp.path + ": checkpoint configuration does not match this node "
+                  "(epsilon / counts_cap / options)");
+  }
+  return {std::make_unique<streaming::DynamicCellIndex<D>>(
+              std::move(loaded.index),
+              std::span<const uint64_t>(loaded.live_ids), loaded.next_id,
+              stats),
+          cp.seq};
+}
+
+// Replays onto `index` every record of `segments` (a ListSegmentsSince
+// result) past sequence `seq`, advancing `seq` and calling `on_record`
+// (when set) after each applied record; `stats` (non-null) counts one
+// journal_records_replayed per applied record. A final segment shorter
+// than one header holds no records yet (a writer mid-create, or a crash
+// before its header was durable) and ends the replay. Returns false at a
+// gap — a segment that starts past `seq`, i.e. the records in between
+// were pruned under a newer checkpoint or lost — with `seq` at the last
+// record applied.
+template <int D>
+[[nodiscard]] bool ReplaySegments(
+    const std::vector<persist::JournalSegment>& segments, uint64_t& seq,
+    streaming::DynamicCellIndex<D>& index, double epsilon, size_t counts_cap,
+    const Options& options, dbscan::PipelineStats* stats,
+    const std::function<void(uint64_t seq)>& on_record = nullptr) {
+  telemetry::TraceSpan replay_span("journal_replay");
+  for (size_t i = 0; i < segments.size(); ++i) {
+    const persist::JournalSegment& seg = segments[i];
+    if (seg.start_seq > seq) return false;
+    if (i + 1 == segments.size() &&
+        persist::FileBytes(seg.path) < sizeof(persist::JournalHeader)) {
+      break;
+    }
+    const auto scan = persist::UpdateJournal<D>::Scan(seg.path, stats);
+    persist::UpdateJournal<D>::RequireMatch(seg.path, scan, epsilon,
+                                            counts_cap, options);
+    if (scan.generation != seg.start_seq) {
+      throw persist::PersistError(seg.path + ": segment generation " +
+                                  std::to_string(scan.generation) +
+                                  " does not match its file name");
+    }
+    uint64_t record_seq = seg.start_seq;
+    for (const persist::JournalRecord<D>& rec : scan.records) {
+      if (++record_seq <= seq) continue;  // Covered by the checkpoint.
+      const uint64_t first_id = index.ApplyUpdates(
+          std::span<const geometry::Point<D>>(rec.inserts),
+          std::span<const uint64_t>(rec.erases));
+      if (first_id != rec.first_id) {
+        throw persist::PersistError(
+            seg.path + ": journal ids do not align with the checkpoint");
+      }
+      seq = record_seq;
+      stats->journal_records_replayed.fetch_add(1,
+                                                std::memory_order_relaxed);
+      if (on_record) on_record(seq);
+    }
+  }
+  return true;
+}
+
 struct WriterOptions {
   // Rotate the active journal segment once it exceeds this size.
   uint64_t rotate_bytes = 1ull << 20;
@@ -148,49 +251,23 @@ class WriterNode {
     }
     std::filesystem::create_directories(dir_);
 
-    // Base state: newest checkpoint, or an empty dataset.
-    uint64_t seq = 0;
-    const std::vector<CheckpointFile> checkpoints = ListCheckpoints(dir_);
-    if (!checkpoints.empty()) {
-      const CheckpointFile& cp = checkpoints.back();
-      persist::LoadedSnapshot<D> loaded = persist::SnapshotReader<D>::Load(
-          cp.path, persist::LoadMode::kOwned, stats_);
-      RequireStreamState(cp.path, loaded);
-      seq = loaded.journal_generation;
-      index_ = std::make_unique<streaming::DynamicCellIndex<D>>(
-          std::move(loaded.index), std::span<const uint64_t>(loaded.live_ids),
-          loaded.next_id, stats_);
-    } else {
-      index_ = std::make_unique<streaming::DynamicCellIndex<D>>(
-          epsilon_, counts_cap_, options_, stats_);
-    }
-
-    // Replay the segments past the checkpoint. A writer must find its
-    // whole suffix — a gap here is data loss, not a stale window.
-    uint64_t active_start = seq;
+    // Base state: newest checkpoint, then every segment past it. A writer
+    // must find its whole suffix — a gap here is data loss, not a stale
+    // window.
+    RestoredCheckpoint<D> base = LoadNewestCheckpoint<D>(
+        dir_, epsilon_, counts_cap_, options_, persist::LoadMode::kOwned,
+        stats_);
+    index_ = std::move(base.index);
+    uint64_t seq = base.seq;
     const auto segments = persist::ListSegmentsSince(dir_, seq);
-    if (!segments.empty()) {
-      if (segments.front().start_seq > seq) {
-        throw persist::PersistError(
-            dir_ + ": journal gap — records after sequence " +
-            std::to_string(seq) + " start at " +
-            std::to_string(segments.front().start_seq));
-      }
-      telemetry::TraceSpan replay_span("journal_replay");
-      for (const persist::JournalSegment& seg : segments) {
-        const auto scan = persist::UpdateJournal<D>::Scan(seg.path, stats_);
-        persist::UpdateJournal<D>::RequireMatch(seg.path, scan, epsilon_,
-                                                counts_cap_, options_);
-        uint64_t record_seq = seg.start_seq;
-        for (const persist::JournalRecord<D>& rec : scan.records) {
-          ++record_seq;
-          if (record_seq <= seq) continue;  // Covered by the checkpoint.
-          ReplayRecord(seg.path, rec, *index_);
-          seq = record_seq;
-        }
-      }
-      active_start = segments.back().start_seq;
+    if (!ReplaySegments<D>(segments, seq, *index_, epsilon_, counts_cap_,
+                           options_, stats_)) {
+      throw persist::PersistError(
+          dir_ + ": journal gap — records after sequence " +
+          std::to_string(seq) + " are missing");
     }
+    const uint64_t active_start =
+        segments.empty() ? seq : segments.back().start_seq;
 
     journal_ = std::make_unique<persist::SegmentedJournal<D>>(
         dir_, epsilon_, counts_cap_, options_, seq, active_start,
@@ -256,26 +333,6 @@ class WriterNode {
   const std::string& dir() const { return dir_; }
 
  private:
-  static void RequireStreamState(const std::string& path,
-                                 const persist::LoadedSnapshot<D>& loaded) {
-    if (!loaded.has_stream_state) {
-      throw persist::PersistError(
-          path + ": not a streaming checkpoint (no live-id state)");
-    }
-  }
-
-  static void ReplayRecord(const std::string& path,
-                           const persist::JournalRecord<D>& rec,
-                           streaming::DynamicCellIndex<D>& index) {
-    const uint64_t first_id = index.ApplyUpdates(
-        std::span<const geometry::Point<D>>(rec.inserts),
-        std::span<const uint64_t>(rec.erases));
-    if (first_id != rec.first_id) {
-      throw persist::PersistError(
-          path + ": journal ids do not align with the checkpoint");
-    }
-  }
-
   std::string dir_;
   double epsilon_;
   size_t counts_cap_;
@@ -286,9 +343,6 @@ class WriterNode {
   std::unique_ptr<persist::SegmentedJournal<D>> journal_;
   std::unique_ptr<parallel::EnginePool<D>> pool_;
   std::atomic<uint64_t> checkpoints_taken_{0};
-
-  template <int>
-  friend class ReplicaNode;
 };
 
 struct ReplicaOptions {
@@ -404,31 +458,13 @@ class ReplicaNode {
   // Loads the newest checkpoint into index_/seq_ (empty dataset when the
   // directory has none). Does not touch pool_ — callers publish.
   void ColdStart() {
-    const std::vector<CheckpointFile> checkpoints = ListCheckpoints(dir_);
-    if (checkpoints.empty()) {
-      index_ = std::make_unique<streaming::DynamicCellIndex<D>>(
-          epsilon_, counts_cap_, options_, stats_);
-      seq_.store(0, std::memory_order_release);
-    } else {
-      const CheckpointFile& cp = checkpoints.back();
-      persist::LoadedSnapshot<D> loaded = persist::SnapshotReader<D>::Load(
-          cp.path, replica_options_.load_mode, stats_);
-      if (!loaded.has_stream_state) {
-        throw persist::PersistError(
-            cp.path + ": not a streaming checkpoint (no live-id state)");
-      }
-      if (loaded.index->epsilon() != epsilon_ ||
-          loaded.index->counts_cap() != counts_cap_) {
-        throw persist::PersistError(
-            cp.path + ": checkpoint configuration does not match replica");
-      }
-      index_ = std::make_unique<streaming::DynamicCellIndex<D>>(
-          std::move(loaded.index), std::span<const uint64_t>(loaded.live_ids),
-          loaded.next_id, stats_);
-      seq_.store(cp.seq, std::memory_order_release);
-    }
+    RestoredCheckpoint<D> base = LoadNewestCheckpoint<D>(
+        dir_, epsilon_, counts_cap_, options_, replica_options_.load_mode,
+        stats_);
+    index_ = std::move(base.index);
+    seq_.store(base.seq, std::memory_order_release);
     if (replica_options_.on_cold_start_loaded) {
-      replica_options_.on_cold_start_loaded(seq_.load());
+      replica_options_.on_cold_start_loaded(base.seq);
     }
   }
 
@@ -459,50 +495,22 @@ class ReplicaNode {
     }
   }
 
+  // Applies every record now visible past seq_, publishing each. A gap
+  // (the records right after our position were pruned under a newer
+  // checkpoint) re-bases instead.
   size_t TailPass() {
-    uint64_t seq = seq_.load(std::memory_order_relaxed);
-    const auto segments = persist::ListSegmentsSince(dir_, seq);
-    if (!segments.empty() && segments.front().start_seq > seq) {
-      // Stale-generation gap: the records right after our position were
-      // pruned under a newer checkpoint. Re-base.
+    const uint64_t start = seq_.load(std::memory_order_relaxed);
+    uint64_t seq = start;
+    if (!ReplaySegments<D>(persist::ListSegmentsSince(dir_, seq), seq,
+                           *index_, epsilon_, counts_cap_, options_, stats_,
+                           [this](uint64_t applied) {
+                             seq_.store(applied, std::memory_order_release);
+                             PublishIfNewer();
+                           })) {
       Restart();
       return 0;
     }
-    size_t applied = 0;
-    for (const persist::JournalSegment& seg : segments) {
-      // A file shorter than one header is the writer mid-create; later
-      // segments cannot have records we need yet (records are ordered).
-      if (!persist::FileExists(seg.path) ||
-          persist::FileBytes(seg.path) < sizeof(persist::JournalHeader)) {
-        break;
-      }
-      const auto scan = persist::UpdateJournal<D>::Scan(seg.path, stats_);
-      persist::UpdateJournal<D>::RequireMatch(seg.path, scan, epsilon_,
-                                              counts_cap_, options_);
-      if (scan.generation != seg.start_seq) {
-        throw persist::PersistError(seg.path + ": segment generation " +
-                                    std::to_string(scan.generation) +
-                                    " does not match its file name");
-      }
-      telemetry::TraceSpan replay_span("journal_replay");
-      uint64_t record_seq = seg.start_seq;
-      for (const persist::JournalRecord<D>& rec : scan.records) {
-        ++record_seq;
-        if (record_seq <= seq) continue;  // Already applied.
-        const uint64_t first_id = index_->ApplyUpdates(
-            std::span<const geometry::Point<D>>(rec.inserts),
-            std::span<const uint64_t>(rec.erases));
-        if (first_id != rec.first_id) {
-          throw persist::PersistError(
-              seg.path + ": journal ids do not align with the base");
-        }
-        seq = record_seq;
-        seq_.store(seq, std::memory_order_release);
-        PublishIfNewer();
-        ++applied;
-      }
-    }
-    return applied;
+    return seq - start;
   }
 
   std::string dir_;

@@ -123,18 +123,20 @@
 //
 // Snapshots are versioned and checksummed: corrupted, truncated or
 // version-skewed files throw pdbscan::PersistError instead of serving a
-// silently wrong index. For a LIVE dataset, PersistentClusterer pairs
-// checkpoints with a write-ahead journal — recovery replays only the
-// batches since the last checkpoint and is bit-identical to the
-// uninterrupted run:
+// silently wrong index. A LIVE dataset is durable through a WriterNode
+// (see the distributed serving quickstart below): every batch is journaled
+// before it is applied, Checkpoint() ships a snapshot, and a restart
+// recovers the newest checkpoint plus the journal records after it —
+// bit-identical to the uninterrupted run:
 //
-//   pdbscan::PersistentClusterer<2> live("/var/lib/idx", 1.0, 100);
-//   live.Insert(points);        // journaled, then applied + published
-//   live.Checkpoint();          // snapshot + journal reset
-//   // after a crash, the same constructor recovers: last checkpoint +
-//   // journal replay, then serving resumes.
+//   pdbscan::WriterOptions wopts;
+//   wopts.checkpoint_every = 0;   // manual checkpoints only
+//   pdbscan::WriterNode<2> live("/var/lib/idx", 1.0, 100, {}, wopts);
+//   live.ApplyUpdates(points, {});   // journaled, then applied + published
+//   live.Checkpoint();               // snapshot; covered segments pruned
+//   // after a crash, the same constructor recovers.
 //
-// See persist/snapshot.h, persist/journal.h, persist/persistent_clusterer.h.
+// See persist/snapshot.h, persist/journal.h, net/replication.h.
 //
 // Configuration (pdbscan::Options) selects the paper's variants:
 //   OurExact(), OurExactQt(), OurApprox(rho), OurApproxQt(rho),
@@ -175,7 +177,6 @@
 #include "parallel/serving_clock.h"
 #include "parallel/serving_scheduler.h"
 #include "persist/journal.h"
-#include "persist/persistent_clusterer.h"
 #include "persist/snapshot.h"
 #include "quality/metrics.h"
 #include "sharding/shard_planner.h"
@@ -330,16 +331,9 @@ template <int D>
 using SnapshotReader = persist::SnapshotReader<D>;
 
 // The streaming write-ahead log (attach via DynamicCellIndex::set_journal;
-// PersistentClusterer manages one automatically).
+// WriterNode manages rotating segments of it automatically).
 template <int D>
 using UpdateJournal = persist::UpdateJournal<D>;
-
-// Durable serve-while-updating facade: StreamingClusterer semantics whose
-// state survives restarts (checkpoint + journal replay, bit-identical to
-// the uninterrupted run). See persist/persistent_clusterer.h.
-template <int D>
-using PersistentClusterer = persist::PersistentClusterer<D>;
-using PersistOptions = persist::PersistOptions;
 
 // --- Distributed serving surface (see net/). --------------------------------
 //

@@ -175,12 +175,9 @@ struct SnapshotHeader {
   uint64_t num_cells = 0;
   uint64_t num_neighbor_links = 0;  // Total CSR adjacency entries.
   uint64_t next_id = 0;             // Stream state; 0 without the flag.
-  // The journal epoch this snapshot pairs with: a checkpoint writes the
-  // snapshot tagged generation G+1 and then resets the journal to a fresh
-  // header tagged G+1. Recovery replays the journal only when the two
-  // generations MATCH — a crash between the two checkpoint steps leaves
-  // the journal one generation behind, which recovery recognizes as
-  // "already folded into the snapshot" instead of double-applying it.
+  // The update sequence a streaming checkpoint captures (the <seq> of
+  // checkpoint-<seq>.pdbsnap, see net/replication.h): recovery replays
+  // only journal records past it. 0 for a plain saved index.
   uint64_t journal_generation = 0;
   OptionsRecord options;
   uint8_t reserved[16] = {};
@@ -245,7 +242,8 @@ struct JournalHeader {
   uint32_t flags = 0;
   double epsilon = 0;
   uint64_t counts_cap = 0;
-  // Journal epoch; see SnapshotHeader::journal_generation.
+  // Sequence before the segment's first record (the <seq> of
+  // journal-<seq>.pdbjnl); see SnapshotHeader::journal_generation.
   uint64_t generation = 0;
   OptionsRecord options;
   // Checksum64 of this struct with header_checksum zeroed.

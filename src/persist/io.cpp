@@ -176,8 +176,9 @@ void AtomicFileWriter::Commit() {
   committed_ = true;
   // The rename is atomic but not durable until the PARENT DIRECTORY is
   // fsync'ed; without this, a power loss could durably apply a later
-  // journal reset while losing the snapshot rename it was paired with —
-  // exactly the ordering the checkpoint generation protocol depends on.
+  // journal segment prune while losing the checkpoint rename that covered
+  // the pruned records — exactly the ordering checkpoint + prune depends
+  // on.
   const size_t slash = path_.find_last_of('/');
   const std::string dir = slash == std::string::npos
                               ? std::string(".")

@@ -1,15 +1,17 @@
 // UpdateJournal — the write-ahead log of the streaming path.
 //
 // Durability for a live dataset splits naturally along the same line the
-// serving architecture does: the snapshot (persist/snapshot.h) is the big
-// immutable base, and the journal is the small replayable delta — each
-// record is one ApplyUpdates batch (erased ids + inserted points + the
-// first id the batch assigned). Recovery = load the last snapshot, replay
-// every journal record after it, and the restored DynamicCellIndex is
-// bit-identical to the uninterrupted live run: record replay re-executes
-// the exact ApplyUpdates sequence, and the first-id check below proves the
-// id assignment lines up. Recovery cost is proportional to the delta since
-// the last checkpoint, never the dataset.
+// serving architecture does: the checkpoint snapshot (persist/snapshot.h)
+// is the big immutable base, and the journal is the small replayable
+// delta — each record is one ApplyUpdates batch (erased ids + inserted
+// points + the first id the batch assigned). Recovery = load the newest
+// checkpoint, replay every journal record after it, and the restored
+// DynamicCellIndex is bit-identical to the uninterrupted live run: record
+// replay re-executes the exact ApplyUpdates sequence, and the first-id
+// check proves the id assignment lines up. Recovery cost is proportional
+// to the delta since the last checkpoint, never the dataset. The one
+// recovery path (LoadNewestCheckpoint + ReplaySegments) lives in
+// net/replication.h and serves both WriterNode and ReplicaNode.
 //
 // Record framing (persist/format.h): a fixed header (magic, version, dim,
 // endianness, epsilon, counts_cap, options — so a journal can never be
@@ -31,17 +33,16 @@
 //
 // Threading contract: one writer, like the DynamicCellIndex it logs for.
 //
-// Segment rotation: a single growing file is the right shape for the
-// checkpoint-reset lifecycle of PersistentClusterer, but a REPLICATION log
-// must stay tailable — a replica that is `k` batches behind should read the
-// records after `k`, not the whole history. SegmentedJournal below keeps a
-// directory of UpdateJournal files named journal-<start_seq>.pdbjnl, where
-// start_seq is the number of batches applied before the segment's first
-// record (the segment's UpdateJournal generation field carries the same
-// number, so every existing framing/torn-tail/config check applies per
-// segment). Once the active segment exceeds rotate_bytes it is closed and a
-// new one opens at the current sequence; ListSegmentsSince(dir, seq)
-// returns exactly the segments a reader at sequence `seq` still needs.
+// Segment rotation: the log must stay tailable — a replica that is `k`
+// batches behind should read the records after `k`, not the whole history.
+// SegmentedJournal below keeps a directory of UpdateJournal files named
+// journal-<start_seq>.pdbjnl, where start_seq is the number of batches
+// applied before the segment's first record (the segment's UpdateJournal
+// generation field carries the same number, so every framing/torn-tail/
+// config check applies per segment). Once the active segment exceeds
+// rotate_bytes it is closed and a new one opens at the current sequence;
+// ListSegmentsSince(dir, seq) returns exactly the segments a reader at
+// sequence `seq` still needs.
 #ifndef PDBSCAN_PERSIST_JOURNAL_H_
 #define PDBSCAN_PERSIST_JOURNAL_H_
 
@@ -49,7 +50,6 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -90,8 +90,8 @@ struct JournalScan {
   uint64_t intact_bytes = 0;
   double epsilon = 0;
   size_t counts_cap = 0;
-  // Journal epoch (see SnapshotHeader::journal_generation): recovery
-  // replays only when this matches the snapshot's generation.
+  // The header's generation: a segment's start sequence (see
+  // SnapshotHeader::journal_generation).
   uint64_t generation = 0;
   Options options;
 };
@@ -104,15 +104,11 @@ class UpdateJournal {
   // one — replaying inserts into a different (epsilon, counts_cap, options)
   // index would silently produce a different clustering, so the mismatch
   // throws instead. If the existing file has a torn tail (see Scan), the
-  // tail is truncated away before the first append. A caller that has
-  // already Scan'ed the file (PersistentClusterer, which replays the
-  // records first) passes the result as `prescan` so a large journal is
-  // not read and decoded a second time during recovery.
+  // tail is truncated away before the first append.
   UpdateJournal(const std::string& path, double epsilon, size_t counts_cap,
                 const Options& options, uint64_t generation = 0,
                 FsyncPolicy fsync = FsyncPolicy::kNone,
-                dbscan::PipelineStats* stats = nullptr,
-                const JournalScan<D>* prescan = nullptr)
+                dbscan::PipelineStats* stats = nullptr)
       : epsilon_(epsilon),
         counts_cap_(counts_cap),
         options_(options),
@@ -120,35 +116,21 @@ class UpdateJournal {
         fsync_(fsync),
         stats_(stats != nullptr ? stats : &dbscan::GlobalStats()) {
     // A file shorter than one header can hold no records: it is a torn
-    // creation or a torn ResetToGeneration (crash between truncate and a
-    // durable header). Either way the correct state is a fresh header at
-    // the caller's generation, not an error — treat it as absent.
-    const bool existed =
-        FileExists(path) && FileBytes(path) >= sizeof(JournalHeader);
-    if (existed) {
-      uint64_t scanned_generation, intact_bytes;
-      bool truncated_tail;
-      if (prescan != nullptr) {
-        scanned_generation = prescan->generation;
-        intact_bytes = prescan->intact_bytes;
-        truncated_tail = prescan->truncated_tail;
-        RequireMatch(path, *prescan, epsilon, counts_cap, options);
-      } else {
-        const JournalScan<D> scan = Scan(path);
-        RequireMatch(path, scan, epsilon, counts_cap, options);
-        scanned_generation = scan.generation;
-        intact_bytes = scan.intact_bytes;
-        truncated_tail = scan.truncated_tail;
-      }
-      if (scanned_generation != generation) {
+    // creation (crash between creating a segment and a durable header).
+    // The correct state is a fresh header at the caller's generation, not
+    // an error — treat it as absent.
+    if (FileExists(path) && FileBytes(path) >= sizeof(JournalHeader)) {
+      const JournalScan<D> scan = Scan(path);
+      RequireMatch(path, scan, epsilon, counts_cap, options);
+      if (scan.generation != generation) {
         throw PersistError(path + ": journal generation " +
-                           std::to_string(scanned_generation) +
+                           std::to_string(scan.generation) +
                            " does not match expected " +
                            std::to_string(generation));
       }
       file_ = std::make_unique<AppendFile>(path);
-      if (truncated_tail || file_->size() != intact_bytes) {
-        file_->TruncateTo(intact_bytes);
+      if (scan.truncated_tail || file_->size() != scan.intact_bytes) {
+        file_->TruncateTo(scan.intact_bytes);
       }
     } else {
       file_ = std::make_unique<AppendFile>(path);
@@ -191,17 +173,6 @@ class UpdateJournal {
     stats_->snapshot_bytes_written.fetch_add(buffer_.size(),
                                              std::memory_order_relaxed);
   }
-
-  // Checkpoint reset: drops every record and starts the given epoch with a
-  // fresh header. Called after a snapshot tagged `generation` has been
-  // durably written (it already captures every dropped record's effects).
-  void ResetToGeneration(uint64_t generation) {
-    generation_ = generation;
-    file_->TruncateTo(0);
-    WriteHeader();
-  }
-
-  uint64_t generation() const { return generation_; }
 
   uint64_t size_bytes() const { return file_->size(); }
   const std::string& path() const { return file_->path(); }
@@ -311,17 +282,8 @@ class UpdateJournal {
   static void RequireMatch(const std::string& path,
                            const JournalScan<D>& scan, double epsilon,
                            size_t counts_cap, const Options& options) {
-    const bool same_options =
-        scan.options.cell_method == options.cell_method &&
-        scan.options.connect_method == options.connect_method &&
-        scan.options.range_count == options.range_count &&
-        scan.options.bucketing == options.bucketing &&
-        scan.options.core_only == options.core_only &&
-        scan.options.num_buckets == options.num_buckets &&
-        scan.options.rho == options.rho &&
-        scan.options.delaunay_jitter_seed == options.delaunay_jitter_seed;
     if (scan.epsilon != epsilon || scan.counts_cap != counts_cap ||
-        !same_options) {
+        !(scan.options == options)) {
       throw PersistError(
           path + ": journal configuration does not match this index "
                  "(epsilon / counts_cap / options)");

@@ -330,9 +330,9 @@ class SnapshotWriter {
   }
 
   // Streaming checkpoint variant: additionally records the stable live ids
-  // (dataset order, ids ascending), the writer's next id, and the journal
-  // generation this checkpoint pairs with, so a DynamicCellIndex can be
-  // restored and continue applying updates.
+  // (dataset order, ids ascending), the writer's next id, and the update
+  // sequence the checkpoint captures, so a DynamicCellIndex can be
+  // restored and continue applying the journal records past it.
   static void Write(const std::string& path, const dbscan::CellIndex<D>& index,
                     std::span<const uint64_t> live_ids, uint64_t next_id,
                     uint64_t journal_generation = 0,
@@ -467,7 +467,8 @@ class SnapshotReader {
       dst = containers::FlatArray<T>::View(src, count);
     } else {
       std::vector<T> copy(count);
-      std::memcpy(copy.data(), src, count * sizeof(T));
+      // An empty section leaves copy.data() null, which memcpy forbids.
+      if (count != 0) std::memcpy(copy.data(), src, count * sizeof(T));
       dst = std::move(copy);
     }
   }

@@ -1,7 +1,8 @@
 // Tests for the persistence layer (src/persist/): snapshot round trips in
 // both load modes with bit-identical serving, corruption/truncation/version
-// rejection, journal replay equivalence, crash-shaped recovery through
-// PersistentClusterer, and the sharded spill/save path.
+// rejection, journal replay equivalence, crash-shaped recovery of durable
+// live datasets through WriterNode / ReplicaNode, and the sharded
+// spill/save path.
 #include <unistd.h>
 
 #include <algorithm>
@@ -418,129 +419,231 @@ TEST(Journal, ConfigMismatchRejected) {
   EXPECT_THROW((void)UpdateJournal<3>::Scan(jpath), PersistError);
 }
 
-// --- PersistentClusterer: end-to-end recovery. ------------------------------
+// --- Durable live datasets: WriterNode recovery, ReplicaNode cold start. ----
 
-TEST(PersistentClusterer, RecoveryMatchesUninterruptedRun) {
-  TempDir dir("pc");
+// A writer that only checkpoints when told to — the durable single-process
+// live dataset.
+net::WriterOptions ManualCheckpoints() {
+  net::WriterOptions wopts;
+  wopts.checkpoint_every = 0;
+  return wopts;
+}
+
+template <typename Target>
+void Feed(Target& target, int b) {
+  const auto inserts = Batch<2>(70 + 5 * b, 1000 + b);
+  std::vector<uint64_t> erases;
+  if (b >= 2) {
+    erases = {static_cast<uint64_t>(3 * b), static_cast<uint64_t>(3 * b + 1)};
+  }
+  target.ApplyUpdates(std::span<const Point<2>>(inserts),
+                      std::span<const uint64_t>(erases));
+}
+
+TEST(DurableRecovery, RecoveryMatchesUninterruptedRun) {
+  TempDir dir("recover");
   const double eps = 0.9;
   const size_t cap = 16;
-  // The uninterrupted reference.
-  StreamingClusterer<2> reference(eps, cap);
-  auto feed = [](auto& target, int b) {
-    const auto inserts = Batch<2>(70 + 5 * b, 1000 + b);
-    std::vector<uint64_t> erases;
-    if (b >= 2) erases = {static_cast<uint64_t>(3 * b),
-                          static_cast<uint64_t>(3 * b + 1)};
-    target.ApplyUpdates(std::span<const Point<2>>(inserts),
-                        std::span<const uint64_t>(erases));
-  };
-
-  size_t replay_expected = 0;
+  StreamingClusterer<2> reference(eps, cap);  // The uninterrupted run.
   {
-    PersistentClusterer<2> live(dir.path().string(), eps, cap);
-    EXPECT_FALSE(live.recovered_from_snapshot());
+    WriterNode<2> live(dir.str(), eps, cap, Options(), ManualCheckpoints());
     for (int b = 0; b < 3; ++b) {
-      feed(live, b);
-      feed(reference, b);
+      Feed(live, b);
+      Feed(reference, b);
     }
     live.Checkpoint();
     for (int b = 3; b < 6; ++b) {
-      feed(live, b);
-      feed(reference, b);
-      ++replay_expected;
+      Feed(live, b);
+      Feed(reference, b);
     }
     // `live` dies here without another checkpoint — the "crash".
   }
-
-  for (const LoadMode mode : {LoadMode::kOwned, LoadMode::kMapped}) {
-    PersistOptions popts;
-    popts.load_mode = mode;
-    PersistentClusterer<2> recovered(dir.path().string(), eps, cap, Options(),
-                                     popts);
-    EXPECT_TRUE(recovered.recovered_from_snapshot());
-    EXPECT_EQ(recovered.records_replayed(), replay_expected);
-    EXPECT_EQ(recovered.LiveIds(), reference.LiveIds());
+  auto expect_served = [&](EnginePool<2>& pool, const std::string& what) {
     for (const size_t min_pts : {size_t{3}, size_t{8}, size_t{30}}) {
-      ExpectIdentical(reference.Run(min_pts), recovered.Run(min_pts),
-                      "recovered run min_pts=" + std::to_string(min_pts));
+      ExpectIdentical(reference.Run(min_pts), pool.Run(min_pts),
+                      what + " min_pts=" + std::to_string(min_pts));
     }
+  };
+
+  {
+    dbscan::PipelineStats stats;
+    WriterNode<2> recovered(dir.str(), eps, cap, Options(),
+                            ManualCheckpoints(), &stats);
+    EXPECT_EQ(recovered.seq(), 6u);
+    EXPECT_EQ(stats.journal_records_replayed.load(), 3u);
+    EXPECT_EQ(recovered.index().LiveIds(), reference.LiveIds());
+    expect_served(recovered.pool(), "writer recovery");
+  }
+  for (const LoadMode mode : {LoadMode::kOwned, LoadMode::kMapped}) {
+    const std::string tag =
+        mode == LoadMode::kMapped ? "mapped replica" : "owned replica";
+    dbscan::PipelineStats stats;
+    net::ReplicaOptions ropts;
+    ropts.load_mode = mode;
+    ReplicaNode<2> replica(dir.str(), eps, cap, Options(), ropts, &stats);
+    EXPECT_EQ(replica.applied_seq(), 6u) << tag;
+    EXPECT_EQ(stats.journal_records_replayed.load(), 3u) << tag;
+    expect_served(replica.pool(), tag);
   }
 
-  // Recovery is repeatable AND the recovered instance keeps evolving
+  // Recovery is repeatable AND the recovered writer keeps evolving
   // bit-identically (checkpoint, more updates, recover again).
   {
-    PersistentClusterer<2> recovered(dir.path().string(), eps, cap);
+    WriterNode<2> recovered(dir.str(), eps, cap, Options(),
+                            ManualCheckpoints());
     recovered.Checkpoint();
-    feed(recovered, 6);
-    feed(reference, 6);
-    ExpectIdentical(reference.Run(5), recovered.Run(5), "post-checkpoint");
+    Feed(recovered, 6);
+    Feed(reference, 6);
+    ExpectIdentical(reference.Run(5), recovered.pool().Run(5),
+                    "post-checkpoint");
   }
-  {
-    PersistentClusterer<2> again(dir.path().string(), eps, cap);
-    EXPECT_EQ(again.records_replayed(), 1u);
-    EXPECT_EQ(again.LiveIds(), reference.LiveIds());
-    ExpectIdentical(reference.Run(5), again.Run(5), "second recovery");
-  }
+  dbscan::PipelineStats stats;
+  WriterNode<2> again(dir.str(), eps, cap, Options(), ManualCheckpoints(),
+                      &stats);
+  // Records 1..6 are still in the segment but covered by checkpoint-6.
+  EXPECT_EQ(stats.journal_records_replayed.load(), 1u);
+  EXPECT_EQ(again.index().LiveIds(), reference.LiveIds());
+  ExpectIdentical(reference.Run(5), again.pool().Run(5), "second recovery");
 }
 
-TEST(PersistentClusterer, StaleJournalAfterCheckpointCrashIsDropped) {
-  // Simulate a crash BETWEEN the two checkpoint steps: snapshot written at
-  // generation G+1, journal still holding generation G's records. Recovery
-  // must not double-apply them.
-  TempDir dir("pc_stale");
+TEST(DurableRecovery, ReplayCounterTicksPerAppliedRecord) {
+  TempDir dir("replay_counter");
+  WriterNode<2> writer(dir.str(), 1.0, 8, Options(), ManualCheckpoints());
+  for (int b = 0; b < 2; ++b) Feed(writer, b);
+  writer.Checkpoint();
+  for (int b = 2; b < 5; ++b) Feed(writer, b);
+
+  dbscan::PipelineStats stats;
+  ReplicaNode<2> replica(dir.str(), 1.0, 8, Options(), net::ReplicaOptions(),
+                         &stats);
+  EXPECT_EQ(replica.applied_seq(), 5u);
+  EXPECT_EQ(stats.journal_records_replayed.load(), 3u);
+  EXPECT_EQ(replica.TailOnce(), 0u);  // Nothing new: nothing counted.
+  EXPECT_EQ(stats.journal_records_replayed.load(), 3u);
+  for (int b = 5; b < 7; ++b) Feed(writer, b);
+  EXPECT_EQ(replica.TailOnce(), 2u);
+  EXPECT_EQ(stats.journal_records_replayed.load(), 5u);
+  ExpectIdentical(writer.pool().Run(4), replica.pool().Run(4), "tailed");
+}
+
+TEST(DurableRecovery, CheckpointWithoutPruneIsNotDoubleApplied) {
+  // Crash after a checkpoint is written but before the prune: the journal
+  // still holds every record the checkpoint covers. Recovery must skip
+  // them, not apply them a second time.
+  TempDir dir("unpruned");
   StreamingClusterer<2> reference(1.0, 8);
   {
-    PersistentClusterer<2> live(dir.path().string(), 1.0, 8);
+    WriterNode<2> live(dir.str(), 1.0, 8, Options(), ManualCheckpoints());
     const auto batch = Batch<2>(120, 5);
-    live.Insert(batch);
+    live.ApplyUpdates(batch, {});
     reference.Insert(batch);
-    // Snapshot at generation 1 WITHOUT resetting the journal (the crash):
-    SnapshotWriter<2>::Write(dir.File("index.pdbsnap"), *live.snapshot(),
-                             live.LiveIds(), live.next_id(),
-                             /*journal_generation=*/1);
+    // The checkpoint's first step only:
+    SnapshotWriter<2>::Write(dir.File(net::CheckpointName(live.seq())),
+                             *live.index().snapshot(), live.index().LiveIds(),
+                             live.index().next_id(),
+                             /*journal_generation=*/live.seq());
   }
-  PersistentClusterer<2> recovered(dir.path().string(), 1.0, 8);
-  EXPECT_TRUE(recovered.recovered_from_snapshot());
-  EXPECT_EQ(recovered.records_replayed(), 0u);  // Not double-applied.
-  EXPECT_EQ(recovered.LiveIds(), reference.LiveIds());
-  ExpectIdentical(reference.Run(4), recovered.Run(4), "stale journal");
-  // And the journal was advanced to the snapshot's epoch.
-  EXPECT_EQ(recovered.generation(), 1u);
+  ASSERT_EQ(persist::UpdateJournal<2>::Scan(dir.File("journal-0.pdbjnl"))
+                .records.size(),
+            1u);
+  dbscan::PipelineStats stats;
+  WriterNode<2> recovered(dir.str(), 1.0, 8, Options(), ManualCheckpoints(),
+                          &stats);
+  EXPECT_EQ(recovered.seq(), 1u);
+  EXPECT_EQ(stats.journal_records_replayed.load(), 0u);  // Not re-applied.
+  EXPECT_EQ(recovered.index().LiveIds(), reference.LiveIds());
+  ExpectIdentical(reference.Run(4), recovered.pool().Run(4), "unpruned");
+  ReplicaNode<2> replica(dir.str(), 1.0, 8, Options(), net::ReplicaOptions(),
+                         &stats);
+  EXPECT_EQ(replica.applied_seq(), 1u);
+  EXPECT_EQ(stats.journal_records_replayed.load(), 0u);
+  ExpectIdentical(reference.Run(4), replica.pool().Run(4), "unpruned replica");
 }
 
-TEST(PersistentClusterer, TornJournalHeaderIsReinitialized) {
-  // Crash during the checkpoint's journal reset can leave a sub-header
-  // file; such a file can hold no records, so recovery reinitializes it at
-  // the snapshot's epoch instead of failing forever.
-  TempDir dir("pc_torn_header");
+TEST(DurableRecovery, TornSegmentHeaderIsReinitialized) {
+  // A crash between creating the next segment on rotation and making its
+  // header durable leaves a short newest segment. It holds no records, so
+  // recovery stops there and the writer reinitializes it instead of
+  // failing every restart.
+  TempDir dir("torn_segment");
+  net::WriterOptions wopts = ManualCheckpoints();
+  wopts.rotate_bytes = 512;  // Every 60-point batch rotates.
+  uint64_t seq_before = 0;
   {
-    PersistentClusterer<2> live(dir.path().string(), 1.0, 8);
-    live.Insert(Batch<2>(60, 2));
-    live.Checkpoint();  // Generation 1.
+    WriterNode<2> live(dir.str(), 1.0, 8, Options(), wopts);
+    for (int b = 0; b < 3; ++b) live.ApplyUpdates(Batch<2>(60, 20 + b), {});
+    seq_before = live.seq();
   }
-  Dump(dir.File("updates.pdbjnl"), {0x50, 0x44, 0x42, 0x53});
-  PersistentClusterer<2> recovered(dir.path().string(), 1.0, 8);
-  EXPECT_TRUE(recovered.recovered_from_snapshot());
-  EXPECT_EQ(recovered.records_replayed(), 0u);
-  EXPECT_EQ(recovered.generation(), 1u);
-  EXPECT_EQ(recovered.num_points(), 60u);
-  recovered.Insert(Batch<2>(10, 3));  // The journal is usable again.
-  PersistentClusterer<2> again(dir.path().string(), 1.0, 8);
-  EXPECT_EQ(again.records_replayed(), 1u);
-  EXPECT_EQ(again.num_points(), 70u);
+  const auto segments = persist::ListJournalSegments(dir.str());
+  ASSERT_GE(segments.size(), 2u);
+  ASSERT_EQ(segments.back().start_seq, seq_before);
+  Dump(segments.back().path, {});
+
+  {
+    ReplicaNode<2> replica(dir.str(), 1.0, 8);
+    EXPECT_EQ(replica.applied_seq(), seq_before);
+  }
+  {
+    dbscan::PipelineStats stats;
+    WriterNode<2> recovered(dir.str(), 1.0, 8, Options(), wopts, &stats);
+    EXPECT_EQ(recovered.seq(), seq_before);
+    EXPECT_EQ(stats.journal_records_replayed.load(), seq_before);
+    EXPECT_EQ(recovered.index().num_points(), 180u);
+    recovered.ApplyUpdates(Batch<2>(10, 30), {});  // The log is usable.
+  }
+  dbscan::PipelineStats stats;
+  WriterNode<2> again(dir.str(), 1.0, 8, Options(), wopts, &stats);
+  EXPECT_EQ(again.seq(), seq_before + 1);
+  EXPECT_EQ(stats.journal_records_replayed.load(), seq_before + 1);
+  EXPECT_EQ(again.index().num_points(), 190u);
 }
 
-TEST(PersistentClusterer, ConfigMismatchRejected) {
-  TempDir dir("pc_config");
+TEST(DurableRecovery, ConfigMismatchRejected) {
+  // A directory written at L1, with a checkpoint and records past it.
+  Options l1;
+  l1.metric = Metric::kL1;
+  TempDir dir("config");
   {
-    PersistentClusterer<2> live(dir.path().string(), 1.0, 8);
-    live.Insert(Batch<2>(50, 1));
+    WriterNode<2> live(dir.str(), 1.0, 8, l1, ManualCheckpoints());
+    live.ApplyUpdates(Batch<2>(50, 1), {});
     live.Checkpoint();
+    live.ApplyUpdates(Batch<2>(50, 2), {});
   }
-  EXPECT_THROW(PersistentClusterer<2>(dir.path().string(), 2.0, 8),
+  auto expect_rejected = [](const std::string& path, double eps, size_t cap,
+                            const Options& options, const std::string& what) {
+    EXPECT_THROW(WriterNode<2>(path, eps, cap, options, ManualCheckpoints()),
+                 PersistError)
+        << "writer, " << what;
+    EXPECT_THROW(ReplicaNode<2>(path, eps, cap, options), PersistError)
+        << "replica, " << what;
+  };
+  expect_rejected(dir.str(), 1.0, 8, Options(), "metric");
+  expect_rejected(dir.str(), 2.0, 8, l1, "epsilon");
+  expect_rejected(dir.str(), 1.0, 16, l1, "counts_cap");
+  // The matching configuration still opens.
+  WriterNode<2> ok(dir.str(), 1.0, 8, l1, ManualCheckpoints());
+  EXPECT_EQ(ok.seq(), 2u);
+
+  // Checkpoint only (no segment to catch it): the checkpoint check alone.
+  TempDir ckpt_only("config_ckpt_only");
+  fs::copy_file(dir.File(net::CheckpointName(1)),
+                ckpt_only.File(net::CheckpointName(1)));
+  expect_rejected(ckpt_only.str(), 2.0, 8, l1, "epsilon, checkpoint only");
+  expect_rejected(ckpt_only.str(), 1.0, 8, Options(),
+                  "metric, checkpoint only");
+
+  // Journal only (no checkpoint): the journal header check alone.
+  TempDir journal_only("config_journal_only");
+  {
+    WriterNode<2> live(journal_only.str(), 1.0, 8, l1, ManualCheckpoints());
+    live.ApplyUpdates(Batch<2>(50, 3), {});
+  }
+  EXPECT_THROW(WriterNode<2>(journal_only.str(), 1.0, 8, Options(),
+                             ManualCheckpoints()),
                PersistError);
-  EXPECT_THROW(PersistentClusterer<2>(dir.path().string(), 1.0, 16),
-               PersistError);
+  // A replica treats the unreadable tail as transient and applies nothing.
+  ReplicaNode<2> replica(journal_only.str(), 1.0, 8, Options());
+  EXPECT_EQ(replica.applied_seq(), 0u);
 }
 
 // --- Sharded spill + merged save. ------------------------------------------
