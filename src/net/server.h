@@ -48,7 +48,7 @@ struct ServerOptions {
   ProtocolLimits limits;
   // Extra metrics joined into kStatsRequest responses (e.g. the replication
   // counters pdbscan_server registers). Must outlive the server; nullptr =
-  // scheduler + server counters only.
+  // serving scheduler, parallel runtime and server counters only.
   telemetry::MetricsRegistry* registry = nullptr;
 };
 
@@ -328,6 +328,7 @@ class NetServer {
                                    h.queue_wait_nanos.Snapshot());
         telemetry::AppendHistogram(values, "execute_latency",
                                    h.execute_nanos.Snapshot());
+        telemetry::AppendSchedulerCounters(values);
         if (options_.registry != nullptr) {
           options_.registry->CollectInto(values);
         }

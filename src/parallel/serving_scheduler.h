@@ -28,9 +28,14 @@
 //     (snapshot generation, epsilon, min_pts) with LRU eviction. Because
 //     ReplaceIndex bumps the pool generation, a streaming update
 //     invalidates precisely the stale entries — lookups from the new
-//     generation can never alias an old dataset state, and retired
-//     generations age out of the LRU (the query-answering-under-updates
-//     discipline of Berkholz et al., applied to a cache key).
+//     generation can never alias an old dataset state (the
+//     query-answering-under-updates discipline of Berkholz et al., applied
+//     to a cache key). Lookups only ever use the current generation, so the
+//     first result cached under a newer generation drops every older entry
+//     on the spot, and a result computed on an already-retired snapshot is
+//     not cached at all. Entries are stored compactly (CompactClustering:
+//     int32 labels plus a side list for multi-membership points) and
+//     expanded back to a bit-identical Clustering on a hit.
 //
 //   * Async submission. SubmitAsync returns a std::future<ServeResult>
 //     and SubmitCallback invokes a completion callback from the executor,
@@ -67,9 +72,11 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <limits>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -109,6 +116,87 @@ struct ServeResult {
   bool coalesced = false;       // Shared a batched execution with others.
 
   bool ok() const { return status == ServeStatus::kOk; }
+};
+
+// A Clustering as the result cache stores it: int32 primary labels and
+// is_core per point, plus the membership list of only those points whose
+// memberships are not implied by their label — implied means none for noise
+// and exactly {cluster[i]} otherwise, which covers every core point and
+// every single-cluster border point. About 5 bytes per point instead of the
+// ~25 of a full Clustering. Expand() rebuilds a bit-identical Clustering.
+struct CompactClustering {
+  std::vector<int32_t> cluster;
+  std::vector<uint8_t> is_core;
+  // Points with a non-implied membership list, ascending, and their lists:
+  // extra_ids[extra_offsets[k] .. extra_offsets[k+1]) for extra_points[k].
+  std::vector<uint32_t> extra_points;
+  std::vector<uint32_t> extra_offsets{0};
+  std::vector<int32_t> extra_ids;
+  size_t num_memberships = 0;  // membership_ids.size() of the original.
+  size_t num_clusters = 0;
+
+  // nullopt when the clustering cannot be stored compactly (and so is not
+  // cached): a label outside int32, 2^32 - 1 or more points or memberships,
+  // or not one is_core flag per point and one offset per point plus one.
+  static std::optional<CompactClustering> Compress(const Clustering& c) {
+    constexpr int64_t kMin = std::numeric_limits<int32_t>::min();
+    constexpr int64_t kMax = std::numeric_limits<int32_t>::max();
+    const size_t n = c.size();
+    if (n >= std::numeric_limits<uint32_t>::max() ||
+        c.membership_ids.size() >= std::numeric_limits<uint32_t>::max() ||
+        c.is_core.size() != n || c.membership_offsets.size() != n + 1) {
+      return std::nullopt;
+    }
+    CompactClustering out;
+    out.cluster.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t label = c.cluster[i];
+      if (label < kMin || label > kMax) return std::nullopt;
+      out.cluster[i] = static_cast<int32_t>(label);
+    }
+    out.is_core = c.is_core;
+    out.num_memberships = c.membership_ids.size();
+    out.num_clusters = c.num_clusters;
+    for (size_t i = 0; i < n; ++i) {
+      const std::span<const int64_t> list = c.memberships(i);
+      const bool implied = c.cluster[i] == Clustering::kNoise
+                               ? list.empty()
+                               : list.size() == 1 && list[0] == c.cluster[i];
+      if (implied) continue;
+      for (const int64_t id : list) {
+        if (id < kMin || id > kMax) return std::nullopt;
+        out.extra_ids.push_back(static_cast<int32_t>(id));
+      }
+      out.extra_points.push_back(static_cast<uint32_t>(i));
+      out.extra_offsets.push_back(static_cast<uint32_t>(out.extra_ids.size()));
+    }
+    return out;
+  }
+
+  Clustering Expand() const {
+    Clustering c;
+    const size_t n = cluster.size();
+    c.cluster.assign(cluster.begin(), cluster.end());
+    c.is_core = is_core;
+    c.num_clusters = num_clusters;
+    c.membership_offsets.resize(n + 1);
+    c.membership_ids.resize(num_memberships);
+    size_t w = 0;
+    size_t k = 0;
+    for (size_t i = 0; i < n; ++i) {
+      c.membership_offsets[i] = w;
+      if (k < extra_points.size() && extra_points[k] == i) {
+        for (uint32_t j = extra_offsets[k]; j < extra_offsets[k + 1]; ++j) {
+          c.membership_ids[w++] = extra_ids[j];
+        }
+        ++k;
+      } else if (cluster[i] != Clustering::kNoise) {
+        c.membership_ids[w++] = cluster[i];
+      }
+    }
+    c.membership_offsets[n] = w;
+    return c;
+  }
 };
 
 struct ServingOptions {
@@ -311,6 +399,14 @@ class ServingScheduler {
   // the scheduler clock. Snapshot() them for export.
   const ServingHistograms& histograms() const { return histograms_; }
 
+  // The generation of every cached result, most recently used first.
+  std::vector<uint64_t> CachedGenerations() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<uint64_t> out;
+    for (const CacheKey& key : lru_) out.push_back(key.generation);
+    return out;
+  }
+
  private:
   struct Request {
     size_t min_pts = 0;
@@ -348,7 +444,7 @@ class ServingScheduler {
     }
   };
   struct CacheEntry {
-    std::shared_ptr<const Clustering> result;
+    std::shared_ptr<const CompactClustering> result;
     std::list<CacheKey>::iterator lru_pos;
   };
 
@@ -376,6 +472,7 @@ class ServingScheduler {
     }
 
     ServeResult immediate;
+    std::shared_ptr<const CompactClustering> hit;
     bool resolve_now = false;
     Request victim;
     bool have_victim = false;
@@ -386,7 +483,7 @@ class ServingScheduler {
         immediate.min_pts = min_pts;
         resolve_now = true;
       } else if (options_.cache_capacity > 0 &&
-                 LookupCacheLocked(min_pts, immediate)) {
+                 (hit = LookupCacheLocked(min_pts, immediate))) {
         stats_->requests_admitted.fetch_add(1, std::memory_order_relaxed);
         stats_->cache_hits.fetch_add(1, std::memory_order_relaxed);
         resolve_now = true;
@@ -421,33 +518,49 @@ class ServingScheduler {
       Deliver(victim, std::move(dropped));
     }
     if (resolve_now) {
+      if (hit) immediate.clustering = hit->Expand();  // The waiter's own copy.
       Deliver(req, std::move(immediate));
     } else {
       work_cv_.notify_one();
     }
   }
 
-  // mu_ held. Fills `out` (status kOk, from_cache) on a hit at the pool's
-  // CURRENT generation and refreshes the entry's LRU position.
-  bool LookupCacheLocked(size_t min_pts, ServeResult& out) {
+  // mu_ held. On a hit at the pool's CURRENT generation: fills `out`'s
+  // status kOk, from_cache and echo fields, refreshes the entry's LRU
+  // position and returns the entry (the caller expands it outside mu_).
+  std::shared_ptr<const CompactClustering> LookupCacheLocked(
+      size_t min_pts, ServeResult& out) {
     const auto [index, generation] = pool_.SnapshotAndGeneration();
     const CacheKey key{generation, EpsBits(index->epsilon()), min_pts};
     auto it = cache_.find(key);
-    if (it == cache_.end()) return false;
+    if (it == cache_.end()) return nullptr;
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     out.status = ServeStatus::kOk;
-    out.clustering = *it->second.result;  // The waiter's own copy.
     out.generation = generation;
     out.min_pts = min_pts;
     out.from_cache = true;
-    return true;
+    return it->second.result;
   }
 
-  // mu_ held. Inserts/refreshes one entry and LRU-evicts past capacity.
+  // mu_ held. Inserts/refreshes one entry and LRU-evicts past capacity. The
+  // first entry of a newer generation drops every older one; an entry of an
+  // older generation than the newest cached one is dead on arrival and is
+  // not inserted.
   void InsertCacheLocked(uint64_t generation, uint64_t eps_bits,
                          size_t min_pts,
-                         std::shared_ptr<const Clustering> result) {
-    if (options_.cache_capacity == 0) return;
+                         std::shared_ptr<const CompactClustering> result) {
+    if (generation < cache_generation_) return;
+    if (generation > cache_generation_) {
+      cache_generation_ = generation;
+      for (auto it = lru_.begin(); it != lru_.end();) {
+        if (it->generation < generation) {
+          cache_.erase(*it);
+          it = lru_.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
     const CacheKey key{generation, eps_bits, min_pts};
     auto it = cache_.find(key);
     if (it != cache_.end()) {
@@ -574,16 +687,22 @@ class ServingScheduler {
     lease = typename EnginePool<D>::Lease();  // Free the context promptly.
     histograms_.execute_nanos.Record(clock_->NowNanos() - execute_start);
 
-    std::unordered_map<size_t, std::shared_ptr<const Clustering>> by_minpts;
-    by_minpts.reserve(distinct.size());
-    for (size_t i = 0; i < distinct.size(); ++i) {
-      by_minpts.emplace(distinct[i], std::make_shared<const Clustering>(
-                                         std::move(swept[i])));
-    }
-    {
+    if (options_.cache_capacity > 0) {
+      std::vector<std::shared_ptr<const CompactClustering>> compact(
+          distinct.size());
+      for (size_t i = 0; i < distinct.size(); ++i) {
+        std::optional<CompactClustering> c =
+            CompactClustering::Compress(swept[i]);
+        if (c) {
+          compact[i] = std::make_shared<const CompactClustering>(std::move(*c));
+        }
+      }
       std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& [m, result] : by_minpts) {
-        InsertCacheLocked(generation, eps_bits, m, result);
+      for (size_t i = 0; i < distinct.size(); ++i) {
+        if (compact[i]) {
+          InsertCacheLocked(generation, eps_bits, distinct[i],
+                            std::move(compact[i]));
+        }
       }
     }
     if (batch.size() > 1) {
@@ -600,7 +719,10 @@ class ServingScheduler {
         result.status = ServeStatus::kTimedOut;
       } else {
         result.status = ServeStatus::kOk;
-        result.clustering = *by_minpts.at(r.min_pts);  // Waiter's own copy.
+        const size_t i = static_cast<size_t>(
+            std::lower_bound(distinct.begin(), distinct.end(), r.min_pts) -
+            distinct.begin());
+        result.clustering = swept[i];  // Waiter's own copy.
         result.generation = generation;
         result.coalesced = batch.size() > 1;
       }
@@ -684,6 +806,7 @@ class ServingScheduler {
   std::deque<Request> queue_;
   std::list<CacheKey> lru_;  // Front = most recently used.
   std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
+  uint64_t cache_generation_ = 0;  // Newest generation ever cached.
   std::vector<std::thread> executors_;
 };
 

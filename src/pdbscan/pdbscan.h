@@ -149,11 +149,12 @@
 // of thread count or schedule.
 //
 // Threading: the library uses a process-wide work-stealing pool sized from
-// PDBSCAN_NUM_THREADS (default: hardware concurrency); see
-// parallel/scheduler.h and pdbscan::parallel::set_num_workers(). A
+// PDBSCAN_NUM_THREADS (default: the CPUs in the process's affinity mask);
+// see parallel/scheduler.h and pdbscan::parallel::set_num_workers(). A
 // DbscanEngine is single-threaded (one mutation site); concurrent serving
 // goes through CellIndex + EnginePool, whose inner stages run on the same
-// scheduler (submissions from any client thread compose safely).
+// scheduler (loops from any client thread compose safely, and an exception
+// thrown inside a parallel stage reaches the calling thread).
 #ifndef PDBSCAN_PDBSCAN_H_
 #define PDBSCAN_PDBSCAN_H_
 

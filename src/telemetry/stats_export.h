@@ -8,6 +8,12 @@
 // (queue_depth_peak, kernel_dispatch_level) as gauges, and the per-stage
 // second timers as float counters named *_seconds (monotonic while the
 // sink is never Reset(), which is how serving uses them).
+//
+// AppendSchedulerCounters does the same for the parallel runtime's
+// process-wide counters (jobs spawned, steals, parks, join-wait
+// nanoseconds), summed over its per-worker counters at collection time:
+//
+//   registry.AddSource(&telemetry::AppendSchedulerCounters);
 #ifndef PDBSCAN_TELEMETRY_STATS_EXPORT_H_
 #define PDBSCAN_TELEMETRY_STATS_EXPORT_H_
 
@@ -15,6 +21,7 @@
 #include <vector>
 
 #include "dbscan/stats.h"
+#include "parallel/scheduler.h"
 #include "telemetry/metrics.h"
 
 namespace pdbscan::telemetry {
@@ -31,6 +38,16 @@ inline void AppendPipelineStats(const dbscan::PipelineStats& s,
                                 PDBSCAN_EXPORT_COUNTER)
 #undef PDBSCAN_EXPORT_COUNTER
 #undef PDBSCAN_EXPORT_GAUGE
+}
+
+inline void AppendSchedulerCounters(std::vector<MetricValue>& out) {
+  const parallel::SchedulerCounters c = parallel::scheduler_counters();
+  AppendCounter(out, "scheduler_tasks_spawned",
+                static_cast<double>(c.tasks_spawned));
+  AppendCounter(out, "scheduler_steals", static_cast<double>(c.steals));
+  AppendCounter(out, "scheduler_parks", static_cast<double>(c.parks));
+  AppendCounter(out, "scheduler_join_wait_nanos",
+                static_cast<double>(c.join_wait_nanos));
 }
 
 }  // namespace pdbscan::telemetry

@@ -1,8 +1,12 @@
 // Tests for the scheduler and the PBBS-style parallel primitives (Table 1).
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <numeric>
 #include <random>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -91,6 +95,149 @@ TEST(Scheduler, SetNumWorkersChangesParallelism) {
   parallel::set_num_workers(2);
   EXPECT_EQ(parallel::num_workers(), 2);
 }
+
+// --- Scheduler: exception propagation ----------------------------------------
+
+struct BodyError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+// Spins until `flag` is set or 10 s pass (a missed steal then fails the
+// test's expectations instead of hanging it).
+void AwaitFlag(const std::atomic<bool>& flag) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+}
+
+// After a throw the runtime must still run loops to completion.
+void ExpectSchedulerStillWorks() {
+  std::vector<std::atomic<int>> hits(20000);
+  parallel::parallel_for(
+      0, hits.size(), [&](size_t i) { hits[i].fetch_add(1); }, 1);
+  for (size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i].load(), 1);
+}
+
+class SchedulerExceptions : public ::testing::TestWithParam<int> {};
+
+TEST_P(SchedulerExceptions, ThrowOnWorkerReachesCaller) {
+  const int workers = GetParam();
+  ScopedNumWorkers scope(workers);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> worker_threw(false);
+  auto run = [&]() {
+    parallel::parallel_for(
+        0, 1000,
+        [&](size_t i) {
+          if (workers == 1) {
+            if (i == 700) throw BodyError("serial body");
+            return;
+          }
+          if (std::this_thread::get_id() != caller) {
+            worker_threw = true;
+            throw BodyError("worker body");
+          }
+          AwaitFlag(worker_threw);  // Keep the caller busy until a steal.
+        },
+        1);
+  };
+  EXPECT_THROW(run(), BodyError);
+  if (workers > 1) EXPECT_TRUE(worker_threw.load());
+  ExpectSchedulerStillWorks();
+}
+
+TEST_P(SchedulerExceptions, ThrowInCallersChunkWaitsForSiblings) {
+  const int workers = GetParam();
+  ScopedNumWorkers scope(workers);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> worker_started(false);
+  std::atomic<bool> caller_threw(false);
+  std::atomic<int> running(0);
+  std::vector<int> out(1000, 0);
+  auto run = [&]() {
+    parallel::parallel_for(
+        0, out.size(),
+        [&](size_t i) {
+          running.fetch_add(1);
+          if (std::this_thread::get_id() == caller) {
+            if (workers > 1) AwaitFlag(worker_started);
+            caller_threw = true;
+            running.fetch_sub(1);
+            throw BodyError("caller body");
+          }
+          worker_started = true;
+          AwaitFlag(caller_threw);
+          // Still working after the caller's chunk threw: the loop must not
+          // return (and unwind its frames) before this finishes.
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          out[i] = 1;
+          running.fetch_sub(1);
+        },
+        1);
+  };
+  EXPECT_THROW(run(), BodyError);
+  EXPECT_EQ(running.load(), 0);
+  if (workers > 1) EXPECT_TRUE(worker_started.load());
+  ExpectSchedulerStillWorks();
+}
+
+TEST_P(SchedulerExceptions, ThrowInNestedLoopReachesOuterCaller) {
+  ScopedNumWorkers scope(GetParam());
+  std::atomic<size_t> ran(0);
+  auto run = [&]() {
+    parallel::parallel_for(
+        0, 16,
+        [&](size_t outer) {
+          parallel::parallel_for(
+              0, 500,
+              [&](size_t inner) {
+                ran.fetch_add(1);
+                if (outer == 11 && inner == 333) throw BodyError("nested");
+              },
+              1);
+        },
+        1);
+  };
+  EXPECT_THROW(run(), BodyError);
+  EXPECT_GT(ran.load(), 0u);
+  ExpectSchedulerStillWorks();
+}
+
+TEST_P(SchedulerExceptions, ThrowInForkJoinReachesCaller) {
+  const int workers = GetParam();
+  ScopedNumWorkers scope(workers);
+  // Left branch throws.
+  std::atomic<bool> right_ran(false);
+  EXPECT_THROW(parallel::fork_join([]() { throw BodyError("left"); },
+                                   [&]() { right_ran = true; }),
+               BodyError);
+  // Right branch (the one offered to thieves) throws, possibly on a worker
+  // while the left branch is still running.
+  std::atomic<bool> right_threw(false);
+  EXPECT_THROW(parallel::fork_join(
+                   [&]() {
+                     if (workers > 1) AwaitFlag(right_threw);
+                   },
+                   [&]() {
+                     right_threw = true;
+                     throw BodyError("right");
+                   }),
+               BodyError);
+  EXPECT_TRUE(right_threw.load());
+  // Throws inside a recursive fork tree.
+  std::function<void(int)> tree = [&](int depth) {
+    if (depth == 0) throw BodyError("leaf");
+    parallel::fork_join([&]() { tree(depth - 1); },
+                        [&]() { tree(depth - 1); });
+  };
+  EXPECT_THROW(tree(6), BodyError);
+  ExpectSchedulerStillWorks();
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, SchedulerExceptions,
+                         ::testing::Values(1, 2, 4));
 
 // --- Scan -------------------------------------------------------------------
 

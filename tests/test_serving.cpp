@@ -339,7 +339,7 @@ TEST(ServingCache, HitsAreImmediateAndInvalidatedByReplaceIndex) {
   EXPECT_EQ(h.stats().cache_hits.load(), 1u);
 
   // A new snapshot bumps the generation: the old entry can never answer
-  // again, even though it still sits in the LRU.
+  // again (it stays in the LRU until a newer result is cached).
   const auto pts2 = ServingPoints(/*points_seed=*/99);
   auto index2 = dbscan::CellIndex<2>::Build(pts2, kEps, kCap);
   h.pool.ReplaceIndex(index2);
@@ -377,6 +377,105 @@ TEST(ServingCache, LruEvictsBeyondCapacity) {
   EXPECT_EQ(h.stats().cache_misses.load(), 3u);
   h.scheduler->Pump();
   EXPECT_EQ(f3.get().status, ServeStatus::kOk);
+}
+
+TEST(ServingCache, ANewerGenerationDropsRetiredEntries) {
+  parallel::ServingOptions opts;
+  opts.cache_capacity = 8;
+  Harness h(opts);
+  for (size_t m : {3, 4, 5}) {
+    auto f = h.scheduler->SubmitAsync(m);
+    h.scheduler->Pump();
+    ASSERT_EQ(f.get().status, ServeStatus::kOk);
+  }
+  EXPECT_EQ(h.scheduler->CachedGenerations(),
+            (std::vector<uint64_t>{1, 1, 1}));
+
+  h.pool.ReplaceIndex(
+      dbscan::CellIndex<2>::Build(ServingPoints(/*points_seed=*/99), kEps,
+                                  kCap));
+  h.clock.Advance(MillisToNanos(1));
+  auto miss = h.scheduler->SubmitAsync(4);
+  h.scheduler->Pump();
+  const ServeResult r = miss.get();
+  ASSERT_EQ(r.status, ServeStatus::kOk);
+  EXPECT_EQ(r.generation, 2u);
+  EXPECT_EQ(h.scheduler->CachedGenerations(), (std::vector<uint64_t>{2}));
+  EXPECT_EQ(h.stats().cache_misses.load(), 4u);
+}
+
+// Hand-built so every membership shape appears: noise, core, a border point
+// in one cluster, border points in two and three clusters, and a border
+// point whose primary label is not its first membership (not produced by
+// the pipeline, but the encoding must not assume it away).
+Clustering MixedMembershipClustering() {
+  Clustering c;
+  c.num_clusters = 4;
+  c.cluster = {Clustering::kNoise, 0, 0, 1, 2, 3, 1, Clustering::kNoise};
+  c.is_core = {0, 1, 0, 0, 1, 0, 0, 0};
+  const std::vector<std::vector<int64_t>> lists = {
+      {}, {0}, {0}, {1, 2}, {2}, {0, 1, 3}, {0, 1}, {}};
+  c.membership_offsets.push_back(0);
+  for (const auto& list : lists) {
+    c.membership_ids.insert(c.membership_ids.end(), list.begin(), list.end());
+    c.membership_offsets.push_back(c.membership_ids.size());
+  }
+  return c;
+}
+
+TEST(ServingCache, CompactEntriesExpandBitIdentically) {
+  const Clustering mixed = MixedMembershipClustering();
+  auto compact = parallel::CompactClustering::Compress(mixed);
+  ASSERT_TRUE(compact.has_value());
+  EXPECT_EQ(compact->extra_points, (std::vector<uint32_t>{3, 5, 6}));
+  ExpectIdentical(mixed, compact->Expand(), "mixed memberships");
+
+  // Pipeline clusterings: the serving workload, and two dense clusters
+  // joined by one border point within eps of exactly one core of each.
+  Harness h;
+  for (size_t m : {2, 5, 9, 20}) {
+    const Clustering real = h.Expected(m);
+    auto c = parallel::CompactClustering::Compress(real);
+    ASSERT_TRUE(c.has_value());
+    ExpectIdentical(real, c->Expand(), "serving clustering");
+  }
+  std::vector<Point2> bridge;
+  for (double side : {-1.0, 1.0}) {
+    const double cx = side < 0 ? 0.0 : 1.8;
+    for (auto [dx, dy] : {std::pair{0.0, 0.0}, {0.2, 0.0}, {0.1, 0.05},
+                          {0.1, -0.05}, {0.15, 0.0}}) {
+      bridge.push_back(Point2{{cx + side * dx, dy}});
+    }
+  }
+  bridge.push_back(Point2{{0.9, 0.0}});  // 0.9 from (0, 0) and (1.8, 0).
+  bridge.push_back(Point2{{9.0, 9.0}});  // Noise.
+  dbscan::PipelineStats sink;
+  dbscan::QueryContext<2> ctx(&sink);
+  const Clustering joined =
+      ctx.Run(*dbscan::CellIndex<2>::Build(bridge, 1.0, kCap), 4);
+  ASSERT_EQ(joined.num_clusters, 2u);
+  ASSERT_EQ(joined.memberships(10).size(), 2u);
+  EXPECT_EQ(joined.cluster[11], Clustering::kNoise);
+  auto compact_joined = parallel::CompactClustering::Compress(joined);
+  ASSERT_TRUE(compact_joined.has_value());
+  EXPECT_EQ(compact_joined->extra_points, (std::vector<uint32_t>{10}));
+  ExpectIdentical(joined, compact_joined->Expand(), "bridge clustering");
+
+  // The empty clustering the pipeline returns for zero points.
+  const Clustering empty =
+      ctx.Run(*dbscan::CellIndex<2>::Build(std::vector<Point2>{}, 1.0, kCap),
+              4);
+  ASSERT_EQ(empty.membership_offsets.size(), 1u);
+  auto compact_empty = parallel::CompactClustering::Compress(empty);
+  ASSERT_TRUE(compact_empty.has_value());
+  ExpectIdentical(empty, compact_empty->Expand(), "zero points");
+
+  // Not stored compactly (and so not cached): labels beyond int32, and
+  // shapes the pipeline never returns.
+  Clustering wide = mixed;
+  wide.cluster[1] = int64_t{1} << 31;
+  EXPECT_FALSE(parallel::CompactClustering::Compress(wide).has_value());
+  EXPECT_FALSE(parallel::CompactClustering::Compress(Clustering{}).has_value());
 }
 
 // --- Async surfaces and shutdown --------------------------------------------

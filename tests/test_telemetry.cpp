@@ -10,6 +10,8 @@
 // bit-identical labels with tracing off and on — telemetry observes, it
 // never perturbs.
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <random>
@@ -25,6 +27,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "parallel/engine_pool.h"
+#include "parallel/scheduler.h"
 #include "parallel/serving_clock.h"
 #include "parallel/serving_scheduler.h"
 #include "pdbscan/pdbscan.h"
@@ -360,6 +363,55 @@ TEST(TelemetryRegistry, PipelineStatsExportCoversCountersAndGauges) {
   EXPECT_EQ(peak->value, 6.0);
   EXPECT_EQ(peak->kind, telemetry::MetricValue::Kind::kGauge);
   ASSERT_NE(find("cache_hits"), nullptr);
+}
+
+TEST(TelemetryRegistry, SchedulerCountersMoveUnderATwoWorkerLoop) {
+  parallel::ScopedNumWorkers workers(2);
+  telemetry::MetricsRegistry registry;
+  registry.AddSource(&telemetry::AppendSchedulerCounters);
+  auto value = [&](const std::string& name) {
+    for (const auto& v : registry.Collect()) {
+      if (v.name == name) {
+        EXPECT_EQ(v.kind, telemetry::MetricValue::Kind::kCounter) << name;
+        return v.value;
+      }
+    }
+    ADD_FAILURE() << "missing " << name;
+    return 0.0;
+  };
+  const double spawned = value("scheduler_tasks_spawned");
+  const double steals = value("scheduler_steals");
+  const double parks = value("scheduler_parks");
+  const double join_wait = value("scheduler_join_wait_nanos");
+
+  // The caller holds its first index until the worker has stolen work, and
+  // the worker's first index sleeps, so the caller's join must wait on it.
+  const auto caller = std::this_thread::get_id();
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<bool> stolen(false);
+  parallel::parallel_for(
+      0, 64,
+      [&](size_t) {
+        if (std::this_thread::get_id() == caller) {
+          while (!stolen.load() && std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::yield();
+          }
+        } else if (!stolen.exchange(true)) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+      },
+      1);
+  ASSERT_TRUE(stolen.load());
+  EXPECT_GT(value("scheduler_tasks_spawned"), spawned);
+  EXPECT_GT(value("scheduler_steals"), steals);
+  EXPECT_GT(value("scheduler_join_wait_nanos"), join_wait);
+  // With the loop done, the idle worker parks after a few failed steals.
+  while (value("scheduler_parks") <= parks &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(value("scheduler_parks"), parks);
 }
 
 // --- Serving scheduler: histograms, slow-query log, bit-identity ------------
