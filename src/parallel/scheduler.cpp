@@ -25,9 +25,9 @@ constexpr size_t kDequeCapacity = 256;
 constexpr size_t kMaxExternalSlots = 64;
 
 // Failed steal rounds before an idle worker parks, and before a join
-// parks. Idle workers give up almost at once: spinning longer bought no
-// throughput on the serving workloads and delayed the serving threads
-// themselves on an oversubscribed host.
+// parks. Idle workers give up almost at once: a 50 us idle spin measured no
+// better on the serving workloads, and a parked worker leaves its CPU to
+// the serving and client threads.
 constexpr int kIdleRounds = 8;
 constexpr int kJoinSpinRounds = 256;
 
