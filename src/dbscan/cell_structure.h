@@ -30,6 +30,7 @@
 #include "dbscan/types.h"
 #include "geometry/point.h"
 #include "parallel/scheduler.h"
+#include "primitives/scan.h"
 
 namespace pdbscan::dbscan {
 
@@ -167,20 +168,22 @@ struct CellStructure {
   }
 };
 
-// Flattens per-cell neighbor lists into the CSR arrays of `cells`.
+// Flattens per-cell neighbor lists into the CSR arrays of `cells`: a scan
+// over the list sizes, then a parallel copy.
 template <int D>
 void FlattenNeighbors(const std::vector<std::vector<uint32_t>>& lists,
                       CellStructure<D>& cells) {
   const size_t num_cells = lists.size();
   cells.nbr_offsets.assign(num_cells + 1, 0);
-  for (size_t c = 0; c < num_cells; ++c) {
-    cells.nbr_offsets[c + 1] = cells.nbr_offsets[c] + lists[c].size();
-  }
-  cells.nbrs.resize(cells.nbr_offsets[num_cells]);
-  for (size_t c = 0; c < num_cells; ++c) {
-    std::copy(lists[c].begin(), lists[c].end(),
-              cells.nbrs.begin() + cells.nbr_offsets[c]);
-  }
+  size_t* const offsets = cells.nbr_offsets.data();
+  parallel::parallel_for(0, num_cells,
+                         [&](size_t c) { offsets[c] = lists[c].size(); });
+  cells.nbrs.resize(primitives::ScanExclusive(
+      std::span<size_t>(offsets, num_cells + 1)));
+  uint32_t* const nbrs = cells.nbrs.data();
+  parallel::parallel_for(0, num_cells, [&](size_t c) {
+    std::copy(lists[c].begin(), lists[c].end(), nbrs + offsets[c]);
+  });
 }
 
 }  // namespace pdbscan::dbscan

@@ -1,9 +1,11 @@
 // Tests for cell construction: grid (Section 4.1) and 2D boxes (Section 4.2).
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <numeric>
 #include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -171,6 +173,221 @@ TEST(Grid, DeterministicAcrossWorkerCounts) {
   EXPECT_EQ(serial.orig_index, parallel_cells.orig_index);
   EXPECT_EQ(serial.nbr_offsets, parallel_cells.nbr_offsets);
   EXPECT_EQ(serial.nbrs, parallel_cells.nbrs);
+}
+
+// --- Exact-order adjacency ----------------------------------------------------
+//
+// The CSR neighbor lists are part of the adjacency contract down to their
+// order: each cell lists its neighbors in the odometer order of
+// NeighborOffsets<D>. The reference below walks that table per cell and
+// looks every probe up in an ordered map; the builder must match it
+// exactly, not only as a set.
+
+template <int D>
+using CoordsList = std::vector<geometry::CellCoords<D>>;
+
+// Neighbor positions (into `coords`) of every position, in odometer order.
+template <int D>
+std::vector<std::vector<size_t>> ReferenceNeighbors(const CoordsList<D>& coords,
+                                                    Metric metric) {
+  std::map<geometry::CellCoords<D>, size_t> position;
+  for (size_t i = 0; i < coords.size(); ++i) position[coords[i]] = i;
+  const auto offsets = dbscan::internal::NeighborOffsets<D>(metric);
+  std::vector<std::vector<size_t>> out(coords.size());
+  for (size_t i = 0; i < coords.size(); ++i) {
+    for (const auto& delta : offsets) {
+      geometry::CellCoords<D> probe = coords[i];
+      for (int a = 0; a < D; ++a) probe[a] += delta[a];
+      const auto it = position.find(probe);
+      if (it != position.end()) out[i].push_back(it->second);
+    }
+  }
+  return out;
+}
+
+// A hand-assembled structure holding only what adjacency reads: the cell
+// coordinates and the metric (every cell is empty of points).
+template <int D>
+CellStructure<D> CoordsOnlyStructure(const CoordsList<D>& coords,
+                                     Metric metric) {
+  CellStructure<D> cells;
+  cells.metric = metric;
+  cells.offsets.assign(coords.size() + 1, 0);
+  cells.coords.resize(coords.size());
+  for (size_t i = 0; i < coords.size(); ++i) cells.coords[i] = coords[i];
+  return cells;
+}
+
+template <int D>
+void ExpectCsrMatchesReference(const CellStructure<D>& cells,
+                               const std::string& what) {
+  CoordsList<D> coords(cells.coords.begin(), cells.coords.end());
+  const auto expected = ReferenceNeighbors<D>(coords, cells.metric);
+  ASSERT_EQ(cells.nbr_offsets.size(), coords.size() + 1) << what;
+  EXPECT_EQ(cells.nbr_offsets[0], 0u) << what;
+  for (size_t c = 0; c < coords.size(); ++c) {
+    const auto got = cells.neighbors(c);
+    ASSERT_EQ(std::vector<size_t>(got.begin(), got.end()), expected[c])
+        << what << ": cell " << c;
+  }
+  EXPECT_EQ(cells.nbrs.size(), cells.nbr_offsets[coords.size()]) << what;
+}
+
+// Distinct random cell coordinates: `count` draws from [base - span,
+// base + span]^D, duplicates dropped, in random order.
+template <int D>
+CoordsList<D> RandomCoords(size_t count, int64_t base, int64_t span,
+                           uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int64_t> coord(base - span, base + span);
+  std::set<geometry::CellCoords<D>> seen;
+  CoordsList<D> out;
+  for (size_t i = 0; i < count; ++i) {
+    geometry::CellCoords<D> c;
+    for (int a = 0; a < D; ++a) c[a] = coord(rng);
+    if (seen.insert(c).second) out.push_back(c);
+  }
+  return out;
+}
+
+// Every cell in one row: distinct last coordinates with gaps, shared prefix.
+template <int D>
+CoordsList<D> OneRowCoords(size_t count, uint64_t seed) {
+  CoordsList<D> out;
+  std::mt19937_64 rng(seed);
+  int64_t last = -static_cast<int64_t>(count);
+  for (size_t i = 0; i < count; ++i) {
+    last += 1 + static_cast<int64_t>(rng() % 3);
+    geometry::CellCoords<D> c{};
+    for (int a = 0; a + 1 < D; ++a) c[a] = 7;
+    c[D - 1] = last;
+    out.push_back(c);
+  }
+  std::shuffle(out.begin(), out.end(), rng);
+  return out;
+}
+
+// Every cell in its own row: one shared last coordinate.
+template <int D>
+CoordsList<D> OneRowPerCellCoords(size_t count, uint64_t seed) {
+  auto out = RandomCoords<D>(count, 0, 6, seed);
+  std::set<geometry::CellCoords<D>> seen;
+  CoordsList<D> unique;
+  for (auto c : out) {
+    c[D - 1] = -3;
+    if (seen.insert(c).second) unique.push_back(c);
+  }
+  return unique;
+}
+
+constexpr Metric kAllMetrics[] = {
+    Metric::kL2, Metric::kL1, Metric::kLinf};
+
+template <int D>
+void CheckExactOrderAdjacency() {
+  constexpr int64_t kFar = int64_t{1} << 40;
+  const std::vector<std::pair<std::string, CoordsList<D>>> shapes = {
+      {"empty", {}},
+      {"single", {geometry::CellCoords<D>{}}},
+      {"dense", RandomCoords<D>(3000, 0, 9, 101 + D)},
+      {"sparse", RandomCoords<D>(2000, 0, 60, 202 + D)},
+      {"one_row", OneRowCoords<D>(10000, 303 + D)},
+      {"one_row_per_cell", OneRowPerCellCoords<D>(400, 404 + D)},
+      {"near_plus_2^40", RandomCoords<D>(1500, kFar, 8, 505 + D)},
+      {"near_minus_2^40", RandomCoords<D>(1500, -kFar, 8, 606 + D)},
+  };
+  for (const int workers : {1, 4}) {
+    parallel::ScopedNumWorkers scoped(workers);
+    for (const Metric metric : kAllMetrics) {
+      for (const auto& [name, coords] : shapes) {
+        auto cells = CoordsOnlyStructure<D>(coords, metric);
+        dbscan::BuildGridAdjacency<D>(cells, Point<D>{}, 1.0);
+        ExpectCsrMatchesReference<D>(
+            cells, "D=" + std::to_string(D) + " " + name + " metric=" +
+                       std::to_string(static_cast<int>(metric)) +
+                       " P=" + std::to_string(workers));
+      }
+    }
+  }
+}
+
+TEST(GridAdjacency, ExactOdometerOrder1d) { CheckExactOrderAdjacency<1>(); }
+TEST(GridAdjacency, ExactOdometerOrder2d) { CheckExactOrderAdjacency<2>(); }
+TEST(GridAdjacency, ExactOdometerOrder3d) { CheckExactOrderAdjacency<3>(); }
+
+// The same contract through the full builder: random points, every metric.
+TEST(GridAdjacency, BuildGridMatchesReference) {
+  for (const int workers : {1, 4}) {
+    parallel::ScopedNumWorkers scoped(workers);
+    for (const Metric metric : kAllMetrics) {
+      auto pts2 = RandomPoints<2>(4000, 30.0, 31);
+      ExpectCsrMatchesReference<2>(
+          dbscan::BuildGrid<2>(pts2, 0.7, nullptr, metric), "2d points");
+      auto pts3 = RandomPoints<3>(4000, 12.0, 32);
+      ExpectCsrMatchesReference<3>(
+          dbscan::BuildGrid<3>(pts3, 0.9, nullptr, metric), "3d points");
+    }
+  }
+}
+
+// Two clumps ~2^40 cells apart along x under a tiny epsilon: the coordinate
+// range exceeds 32 bits, and adjacency is still exact.
+TEST(GridAdjacency, HugeExtentTinyEpsilon) {
+  const double eps = 1e-3;
+  const double far = std::ldexp(dbscan::GridSide<2>(eps), 40);
+  auto pts = RandomPoints<2>(3000, 0.02, 33);
+  for (size_t i = 0; i < pts.size(); i += 2) pts[i][0] += far;
+  for (const int workers : {1, 4}) {
+    parallel::ScopedNumWorkers scoped(workers);
+    auto cells = dbscan::BuildGrid<2>(pts, eps);
+    int64_t hi = 0;
+    for (size_t c = 0; c < cells.num_cells(); ++c) {
+      hi = std::max(hi, cells.coords[c][0]);
+    }
+    EXPECT_GT(hi, int64_t{1} << 39);
+    ExpectCsrMatchesReference<2>(cells, "huge extent");
+  }
+}
+
+// A subset of the cells, as the sharded seam merge passes: positions into
+// the subset, each position's emissions in odometer order.
+template <int D>
+void CheckSubsetEmission(Metric metric) {
+  const auto coords = RandomCoords<D>(2500, 0, 10, 707 + D);
+  const auto cells = CoordsOnlyStructure<D>(coords, metric);
+  std::mt19937_64 rng(808 + D);
+  std::vector<uint32_t> ids;
+  CoordsList<D> subset;
+  for (size_t c = 0; c < coords.size(); ++c) {
+    if (rng() % 3 == 0) {
+      ids.push_back(static_cast<uint32_t>(c));
+      subset.push_back(coords[c]);
+    }
+  }
+  const auto expected = ReferenceNeighbors<D>(subset, metric);
+  for (const int workers : {1, 4}) {
+    parallel::ScopedNumWorkers scoped(workers);
+    std::vector<std::vector<size_t>> got(ids.size());
+    dbscan::ForEachNeighborAmong<D>(
+        cells, std::span<const uint32_t>(ids), Point<D>{}, 1.0,
+        [&](size_t i, size_t j) { got[i].push_back(j); });
+    EXPECT_EQ(got, expected) << "D=" << D << " P=" << workers;
+  }
+}
+
+TEST(GridAdjacency, SubsetThroughForEachNeighborAmong) {
+  for (const Metric metric : kAllMetrics) {
+    CheckSubsetEmission<1>(metric);
+    CheckSubsetEmission<2>(metric);
+    CheckSubsetEmission<3>(metric);
+  }
+  // No candidates, no calls.
+  const auto cells = CoordsOnlyStructure<2>({}, Metric::kL2);
+  size_t calls = 0;
+  dbscan::ForEachNeighborAmong<2>(cells, std::span<const uint32_t>(),
+                                  Point<2>{}, 1.0,
+                                  [&](size_t, size_t) { ++calls; });
+  EXPECT_EQ(calls, 0u);
 }
 
 // --- Box method ---------------------------------------------------------------

@@ -753,41 +753,6 @@ TEST_P(MetricPropertySweep, KernelLevelsBitIdentical3d) {
   MetricKernelLevelsBitIdentical<3>(GetParam() + 350, 2 * SweepBudget(), 2.0);
 }
 
-// The packed-cell-key 2D L1 adjacency fast path vs the generic hash-grid
-// dispatch: bit-identical clustering AND identical MarkCore counts (the
-// fast path probes the same deterministic offset enumeration, so the CSR —
-// and everything derived from it — must not change).
-TEST_P(MetricPropertySweep, L1Grid2dFastPathMatchesGeneric) {
-  std::mt19937_64 rng(GetParam() * 757 + 29);
-  for (const auto& c : MakeCases(GetParam() + 67000, 4 * SweepBudget())) {
-    auto pts = GenerateShape<2>(c.shape, c.n, c.seed);
-    const size_t cap = 1 + rng() % 24;
-    Options options = OurExact();
-    options.metric = Metric::kL1;
-
-    dbscan::ForceGenericAdjacencyFlag().store(true,
-                                              std::memory_order_relaxed);
-    const auto expected = Dbscan<2>(pts, c.epsilon, c.min_pts, options);
-    const auto generic_index =
-        CellIndex<2>::Build(pts, c.epsilon, cap, options);
-    dbscan::ForceGenericAdjacencyFlag().store(false,
-                                              std::memory_order_relaxed);
-    const auto got = Dbscan<2>(pts, c.epsilon, c.min_pts, options);
-    const auto fast_index = CellIndex<2>::Build(pts, c.epsilon, cap, options);
-
-    ASSERT_TRUE(pdbscan::testing::Identical(expected, got))
-        << "L1 2d fast path vs generic adjacency: shape="
-        << static_cast<int>(c.shape) << " n=" << c.n << " eps=" << c.epsilon
-        << " minpts=" << c.min_pts << " seed=" << c.seed
-        << pdbscan::testing::SeedNote();
-    ASSERT_TRUE(generic_index->neighbor_counts() ==
-                fast_index->neighbor_counts())
-        << "L1 2d fast path MarkCore counts diverge: n=" << c.n
-        << " eps=" << c.epsilon << " cap=" << cap << " seed=" << c.seed
-        << pdbscan::testing::SeedNote();
-  }
-}
-
 // Served-vs-solo under the new metrics: a ServingScheduler response is
 // bit-identical to a direct run with the same metric options.
 TEST_P(MetricPropertySweep, ServedMatchesSolo2d) {
