@@ -143,7 +143,7 @@ struct RowOffset {
 // order. Computed once per (D, metric) and never destroyed.
 template <int D>
 const std::vector<RowOffset<D>>& CachedRowOffsets(Metric metric) {
-  static const auto build = [](Metric m) {
+  const auto build = [](Metric m) {
     std::vector<RowOffset<D>> rows;
     for (geometry::CellCoords<D> delta : CachedNeighborOffsets<D>(m)) {
       const int64_t last = delta[D - 1];
