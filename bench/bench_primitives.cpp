@@ -22,7 +22,6 @@
 #include "parallel/scheduler.h"
 #include "primitives/filter.h"
 #include "primitives/integer_sort.h"
-#include "primitives/merge.h"
 #include "primitives/random.h"
 #include "primitives/scan.h"
 #include "primitives/semisort.h"
@@ -128,24 +127,6 @@ void BM_SemisortVsComparisonSort(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
 }
 BENCHMARK(BM_SemisortVsComparisonSort)->Arg(1 << 20);
-
-void BM_ParallelMerge(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<int> a(n), b(n);
-  std::mt19937 rng(5);
-  for (auto& x : a) x = static_cast<int>(rng());
-  for (auto& x : b) x = static_cast<int>(rng());
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  std::vector<int> out(2 * n);
-  for (auto _ : state) {
-    primitives::ParallelMerge(std::span<const int>(a), std::span<const int>(b),
-                              std::span<int>(out));
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(2 * n) * state.iterations());
-}
-BENCHMARK(BM_ParallelMerge)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_HashTableInsert(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

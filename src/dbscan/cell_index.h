@@ -63,7 +63,6 @@
 #include "geometry/point.h"
 #include "geometry/quadtree.h"
 #include "telemetry/trace.h"
-#include "util/timer.h"
 
 namespace pdbscan::dbscan {
 
@@ -124,17 +123,14 @@ class CellIndex {
     }
     ValidateMetricOptions(options_);
     PipelineStats& sink = stats != nullptr ? *stats : GlobalStats();
-    util::Timer timer;
     {
-      telemetry::TraceSpan span("build_cells");
+      telemetry::TraceSpan span("build_cells", sink.build_cells_seconds);
       cells_ = BuildCells<D>(points, epsilon, options_.cell_method,
                              options_.metric, layout);
     }
     sink.cells_built.fetch_add(1, std::memory_order_relaxed);
-    AddSeconds(sink.build_cells_seconds, timer.Seconds());
-    timer.Reset();
     {
-      telemetry::TraceSpan span("mark_core_counts");
+      telemetry::TraceSpan span("mark_core_counts", sink.mark_core_seconds);
       BuildQuadtrees();
       std::vector<uint32_t> counts;
       MarkCoreCounts(cells_, counts_cap_, options_.range_count, &quadtrees_,
@@ -142,7 +138,6 @@ class CellIndex {
       neighbor_counts_ = std::move(counts);
     }
     sink.counts_built.fetch_add(1, std::memory_order_relaxed);
-    AddSeconds(sink.mark_core_seconds, timer.Seconds());
   }
 
   // Freezes an externally built structure plus matching saturated MarkCore
@@ -368,7 +363,7 @@ class QueryContext {
       stats_->counts_reused.fetch_add(1, std::memory_order_relaxed);
       return ws_.neighbor_counts;
     }
-    util::Timer timer;
+    telemetry::TraceSpan span("mark_core_counts", stats_->mark_core_seconds);
     MarkCoreCounts(index.cells(), cap, index.options().range_count,
                    &index.quadtrees(), ws_.neighbor_counts, stats_);
     if (owner != nullptr) {
@@ -380,7 +375,6 @@ class QueryContext {
       cached_cap_ = 0;
     }
     stats_->counts_built.fetch_add(1, std::memory_order_relaxed);
-    AddSeconds(stats_->mark_core_seconds, timer.Seconds());
     return ws_.neighbor_counts;
   }
 

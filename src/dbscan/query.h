@@ -33,7 +33,6 @@
 #include "dbscan/workspace.h"
 #include "parallel/scheduler.h"
 #include "telemetry/trace.h"
-#include "util/timer.h"
 
 namespace pdbscan::dbscan {
 
@@ -107,25 +106,20 @@ Clustering RunQueryFromCounts(const CellStructure<D>& cells,
                               std::span<const uint32_t> neighbor_counts,
                               size_t min_pts, const Options& options,
                               Workspace<D>& ws, PipelineStats& stats) {
-  util::Timer timer;
-  {
-    telemetry::TraceSpan span("mark_core");
+  const CoreIndex core = [&]() {
+    telemetry::TraceSpan span("mark_core", stats.mark_core_seconds);
     CoreFlagsFromCounts(neighbor_counts, min_pts, ws.core_flags);
-  }
-  const CoreIndex core = BuildCoreIndex(cells, ws.core_flags);
-  AddSeconds(stats.mark_core_seconds, timer.Seconds());
+    return BuildCoreIndex(cells, ws.core_flags);
+  }();
 
-  timer.Reset();
   {
-    telemetry::TraceSpan span("cluster_core");
+    telemetry::TraceSpan span("cluster_core", stats.cluster_core_seconds);
     ws.uf.Reset(cells.num_cells());
     ClusterCore(cells, core, options, ws.uf, stats);
   }
-  AddSeconds(stats.cluster_core_seconds, timer.Seconds());
 
-  timer.Reset();
   {
-    telemetry::TraceSpan span("cluster_border");
+    telemetry::TraceSpan span("cluster_border", stats.cluster_border_seconds);
     if (options.core_only) {
       // DBSCAN*: clusters consist of core points only.
       ws.point_roots.resize(cells.num_points());
@@ -147,15 +141,9 @@ Clustering RunQueryFromCounts(const CellStructure<D>& cells,
         },
         1);
   }
-  AddSeconds(stats.cluster_border_seconds, timer.Seconds());
 
-  timer.Reset();
-  Clustering out = [&]() {
-    telemetry::TraceSpan span("finalize");
-    return internal::Finalize(cells, ws.core_flags, ws.point_roots, ws);
-  }();
-  AddSeconds(stats.finalize_seconds, timer.Seconds());
-  return out;
+  telemetry::TraceSpan span("finalize", stats.finalize_seconds);
+  return internal::Finalize(cells, ws.core_flags, ws.point_roots, ws);
 }
 
 // Shared min_pts-sweep driver: rejects zero settings, computes cap =

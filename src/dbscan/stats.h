@@ -25,17 +25,9 @@
 
 #include "kernels/kernel_api.h"
 #include "telemetry/metrics.h"
+#include "telemetry/trace.h"
 
 namespace pdbscan::dbscan {
-
-// Accumulates seconds into a relaxed atomic double (CAS loop: fetch_add on
-// atomic<double> needs C++20 library support that not all toolchains ship).
-inline void AddSeconds(std::atomic<double>& slot, double seconds) {
-  double cur = slot.load(std::memory_order_relaxed);
-  while (!slot.compare_exchange_weak(cur, cur + seconds,
-                                     std::memory_order_relaxed)) {
-  }
-}
 
 // The one field table of PipelineStats. Every field appears exactly once,
 // in declaration (and export) order, tagged with its kind:
@@ -43,7 +35,10 @@ inline void AddSeconds(std::atomic<double>& slot, double seconds) {
 //   COUNTER(name)   — std::atomic<size_t> count; MergeFrom sums it.
 //   MAX_GAUGE(name) — std::atomic<size_t> gauge; MergeFrom takes the max.
 //   SECONDS(name)   — std::atomic<double> wall-clock seconds; MergeFrom
-//                     sums it.
+//                     sums it. Only TraceSpan(name, field) scopes add to
+//                     one (MergeFrom just carries their sums between
+//                     sinks), so with tracing on each field's delta is the
+//                     summed duration of the spans named below.
 //
 // The struct declaration, MergeFrom, Reset and the telemetry export
 // (telemetry/stats_export.h, metric name == field name) all expand this
@@ -108,15 +103,31 @@ inline void AddSeconds(std::atomic<double>& slot, double seconds) {
 //   kernel_dispatch_level is the level the last kernel-using pass ran at
 //   (kernels::Level as int); an aggregate over per-context sinks reports
 //   the highest level used.
-// * Per-stage wall-clock seconds, accumulated across runs.
-//   snapshot_load_seconds is the time inside SnapshotReader::Load
-//   (validation plus owned-mode copies; the mmap path makes this the
-//   headline "cold start in milliseconds" number). shard_merge_seconds
-//   times the sharded boundary-merge stage alone (cross-seam adjacency
-//   discovery + boundary-cell recount). It is an overlay, not a new stage:
-//   the same span is also attributed to build_cells_seconds (adjacency/CSR)
-//   and mark_core_seconds (recount) so stage totals stay comparable with
-//   unsharded builds — don't add it into a sum of the per-stage timers.
+// * Per-stage wall-clock seconds, accumulated across runs, and the spans
+//   that feed each:
+//     snapshot_load_seconds  snapshot_load — SnapshotReader::Load
+//                            (validation plus owned-mode copies; the mmap
+//                            path makes this the headline "cold start in
+//                            milliseconds" number).
+//     build_cells_seconds    build_cells (CellIndex), streaming_recompose,
+//                            and the sharded shard_build, shard_recompose
+//                            and seam-discovery shard_merge spans.
+//     mark_core_seconds      mark_core_counts (CellIndex, and a context's
+//                            over-cap recount), mark_core (core flags +
+//                            core index, per query), streaming_recount, and
+//                            the sharded shard_count and seam-recount
+//                            shard_merge spans.
+//     cluster_core_seconds   cluster_core.
+//     cluster_border_seconds cluster_border.
+//     finalize_seconds       finalize.
+//     shard_merge_seconds    the two shard_merge spans of a sharded build:
+//                            cross-seam adjacency discovery, then the
+//                            boundary-cell recount. It is an overlay, not a
+//                            new stage: the same spans are also attributed
+//                            to build_cells_seconds and mark_core_seconds so
+//                            stage totals stay comparable with unsharded
+//                            builds — don't add it into a sum of the
+//                            per-stage fields.
 #define PDBSCAN_PIPELINE_STATS_FIELDS(COUNTER, MAX_GAUGE, SECONDS) \
   COUNTER(connectivity_queries)                                   \
   COUNTER(pruned_queries)                                         \
@@ -174,7 +185,7 @@ struct PipelineStats {
 #define PDBSCAN_STATS_MERGE_MAX(name) \
   telemetry::AtomicMax(name, other.name.load(std::memory_order_relaxed));
 #define PDBSCAN_STATS_MERGE_SECONDS(name) \
-  AddSeconds(name, other.name.load(std::memory_order_relaxed));
+  telemetry::AddSeconds(name, other.name.load(std::memory_order_relaxed));
     PDBSCAN_PIPELINE_STATS_FIELDS(PDBSCAN_STATS_MERGE_SUM,
                                   PDBSCAN_STATS_MERGE_MAX,
                                   PDBSCAN_STATS_MERGE_SECONDS)

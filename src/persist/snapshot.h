@@ -53,7 +53,6 @@
 #include "persist/format.h"
 #include "persist/io.h"
 #include "telemetry/trace.h"
-#include "util/timer.h"
 
 namespace pdbscan::persist {
 
@@ -366,8 +365,9 @@ class SnapshotReader {
                                 dbscan::PipelineStats* stats = nullptr) {
     static_assert(kLayoutIsPortable<D>,
                   "Point/BBox/CellCoords must be flat arrays of words");
-    util::Timer timer;
-    telemetry::TraceSpan span("snapshot_load");
+    dbscan::PipelineStats& sink =
+        stats != nullptr ? *stats : dbscan::GlobalStats();
+    telemetry::TraceSpan span("snapshot_load", sink.snapshot_load_seconds);
     LoadedSnapshot<D> out;
     std::shared_ptr<const MappedFile> map;
     std::shared_ptr<std::vector<uint8_t>> owned_bytes;
@@ -449,11 +449,8 @@ class SnapshotReader {
       }
     }
 
-    dbscan::PipelineStats& sink =
-        stats != nullptr ? *stats : dbscan::GlobalStats();
     sink.snapshot_bytes_read.fetch_add(h.file_bytes,
                                        std::memory_order_relaxed);
-    dbscan::AddSeconds(sink.snapshot_load_seconds, timer.Seconds());
     return out;
   }
 

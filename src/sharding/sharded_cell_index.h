@@ -78,7 +78,6 @@
 #include "telemetry/trace.h"
 #include "persist/snapshot.h"
 #include "sharding/shard_planner.h"
-#include "util/timer.h"
 
 namespace pdbscan::sharding {
 
@@ -91,13 +90,13 @@ struct ShardBuildInfo {
   size_t interior_cells = 0;   // Counted inside their shard (phase 1).
   size_t boundary_cells = 0;   // Recounted in the merge stage (phase 3).
   size_t seam_links = 0;       // Cross-shard adjacency edges added.
-  double shard_build_seconds = 0;  // Phase 1: concurrent per-shard builds.
+  // Phase timings, read from the spans that feed the stats sink.
+  double shard_build_seconds = 0;  // Phase 1: partition + per-shard builds.
   double shard_count_seconds = 0;  // Phase 1: interior MarkCore counts.
   double merge_seconds = 0;        // Phase 3: seam adjacency + recount.
   // Per-shard spill (when a spill directory was given): one snapshot file
   // per shard, written concurrently between phases 1 and 2.
   std::vector<std::string> spill_paths;
-  double spill_seconds = 0;
 };
 
 template <int D>
@@ -205,17 +204,20 @@ class ShardedCellIndex {
     const size_t num_shards = plan_.num_shards();
     const size_t n = points.size();
 
-    // --- Partition points into shards (stable within a shard, so the
-    // original order is recoverable through gids). -------------------------
-    util::Timer timer;
-    std::vector<uint32_t> shard_of_point(n);
-    parallel::parallel_for(0, n, [&](size_t i) {
-      shard_of_point[i] =
-          static_cast<uint32_t>(plan_.ShardOf(plan_.ColumnOf(points[i])));
-    });
+    // --- Phase 1a: partition points into shards (stable within a shard, so
+    // the original order is recoverable through gids), then build per-shard
+    // cell structures, one scheduler task each. The global bounds anchor
+    // every shard on the single-index lattice. -----------------------------
     std::vector<std::vector<Point<D>>> shard_pts(num_shards);
     std::vector<std::vector<uint32_t>> shard_gids(num_shards);
+    std::vector<CellStructure<D>> shards(num_shards);
     {
+      telemetry::TraceSpan span("shard_build", sink.build_cells_seconds);
+      std::vector<uint32_t> shard_of_point(n);
+      parallel::parallel_for(0, n, [&](size_t i) {
+        shard_of_point[i] =
+            static_cast<uint32_t>(plan_.ShardOf(plan_.ColumnOf(points[i])));
+      });
       std::vector<size_t> counts(num_shards, 0);
       for (size_t i = 0; i < n; ++i) ++counts[shard_of_point[i]];
       for (size_t s = 0; s < num_shards; ++s) {
@@ -227,55 +229,41 @@ class ShardedCellIndex {
         shard_pts[s].push_back(points[i]);
         shard_gids[s].push_back(static_cast<uint32_t>(i));
       }
+      parallel::parallel_for(
+          0, num_shards,
+          [&](size_t s) {
+            shards[s] = dbscan::BuildGrid<D>(
+                std::span<const Point<D>>(shard_pts[s]), epsilon,
+                &plan_.bounds, options_.metric);
+          },
+          1);
+      info_.shard_build_seconds = span.Close();
     }
-
-    // --- Phase 1a: per-shard cell structures, one scheduler task each.
-    // The global bounds anchor every shard on the single-index lattice. ----
-    // Recorded manually rather than via TraceSpan RAII: the phase boundary
-    // is mid-function, not a scope.
-    const uint64_t build_span_start =
-        telemetry::TraceEnabled() ? telemetry::NowNanos() : 0;
-    std::vector<CellStructure<D>> shards(num_shards);
-    parallel::parallel_for(
-        0, num_shards,
-        [&](size_t s) {
-          shards[s] = dbscan::BuildGrid<D>(
-              std::span<const Point<D>>(shard_pts[s]), epsilon, &plan_.bounds,
-              options_.metric);
-        },
-        1);
-    if (build_span_start != 0) {
-      telemetry::RecordSpan("shard_build", telemetry::CurrentTraceId(),
-                            telemetry::CurrentSpanId(), build_span_start,
-                            telemetry::NowNanos());
-    }
-    info_.shard_build_seconds = timer.Seconds();
-    dbscan::AddSeconds(sink.build_cells_seconds, info_.shard_build_seconds);
     sink.shards_built.fetch_add(num_shards, std::memory_order_relaxed);
     sink.cells_built.fetch_add(1, std::memory_order_relaxed);
 
     // --- Phase 1b: interior-cell counts, exact without any seam data. -----
-    timer.Reset();
     std::vector<std::vector<uint32_t>> shard_counts(num_shards);
-    std::vector<std::vector<uint32_t>> shard_interior(num_shards);
-    parallel::parallel_for(
-        0, num_shards,
-        [&](size_t s) {
-          const CellStructure<D>& cells = shards[s];
-          shard_counts[s].assign(cells.num_points(), 0);
-          auto& interior = shard_interior[s];
-          for (size_t c = 0; c < cells.num_cells(); ++c) {
-            if (!plan_.IsBoundary(cells.coords[c][plan_.axis])) {
-              interior.push_back(static_cast<uint32_t>(c));
+    {
+      telemetry::TraceSpan span("shard_count", sink.mark_core_seconds);
+      parallel::parallel_for(
+          0, num_shards,
+          [&](size_t s) {
+            const CellStructure<D>& cells = shards[s];
+            shard_counts[s].assign(cells.num_points(), 0);
+            std::vector<uint32_t> interior;
+            for (size_t c = 0; c < cells.num_cells(); ++c) {
+              if (!plan_.IsBoundary(cells.coords[c][plan_.axis])) {
+                interior.push_back(static_cast<uint32_t>(c));
+              }
             }
-          }
-          dbscan::MarkCoreCountsForCells<D>(
-              cells, counts_cap, RangeCountMethod::kScan, nullptr,
-              std::span<const uint32_t>(interior), shard_counts[s], &sink);
-        },
-        1);
-    info_.shard_count_seconds = timer.Seconds();
-    dbscan::AddSeconds(sink.mark_core_seconds, info_.shard_count_seconds);
+            dbscan::MarkCoreCountsForCells<D>(
+                cells, counts_cap, RangeCountMethod::kScan, nullptr,
+                std::span<const uint32_t>(interior), shard_counts[s], &sink);
+          },
+          1);
+      info_.shard_count_seconds = span.Close();
+    }
     sink.counts_built.fetch_add(1, std::memory_order_relaxed);
 
     // --- Optional per-shard spill: each shard builder persists its own
@@ -284,7 +272,6 @@ class ShardedCellIndex {
     // these — they are durable build checkpoints; Save() persists the
     // merged result once after the merge. ------------------------------
     if (!spill_dir_.empty()) {
-      timer.Reset();
       info_.spill_paths.resize(num_shards);
       for (size_t s = 0; s < num_shards; ++s) {
         info_.spill_paths[s] =
@@ -299,62 +286,69 @@ class ShardedCellIndex {
                 options_, {}, 0, 0, stats);
           },
           1);
-      info_.spill_seconds = timer.Seconds();
     }
 
-    // --- Phase 2: recompose the flat merged structure. --------------------
-    timer.Reset();
+    // --- Phase 2: recompose the flat merged structure, then classify its
+    // boundary cells. The classification is an O(m) coords scan: like the
+    // copy it is recomposition bookkeeping, not merge work — only the two
+    // seam-proportional steps of phase 3 count as the merge. ---------------
     std::vector<size_t> cell_base(num_shards + 1, 0);
-    std::vector<size_t> point_base(num_shards + 1, 0);
-    info_.shard_points.resize(num_shards);
-    info_.shard_cells.resize(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      info_.shard_points[s] = shards[s].num_points();
-      info_.shard_cells[s] = shards[s].num_cells();
-      cell_base[s + 1] = cell_base[s] + shards[s].num_cells();
-      point_base[s + 1] = point_base[s] + shards[s].num_points();
-    }
-    const size_t m = cell_base[num_shards];
     CellStructure<D> merged;
-    merged.epsilon = epsilon;
-    merged.metric = options_.metric;
-    merged.ResizeForCells(m, n);
-    std::vector<uint32_t> merged_counts(n, 0);
-    std::vector<uint32_t> shard_of_cell(m);
-    parallel::parallel_for(
-        0, num_shards,
-        [&](size_t s) {
-          const CellStructure<D>& cells = shards[s];
-          const size_t cb = cell_base[s];
-          const size_t pb = point_base[s];
-          for (size_t c = 0; c < cells.num_cells(); ++c) {
-            merged.offsets[cb + c + 1] = pb + cells.offsets[c + 1];
-            merged.coords[cb + c] = cells.coords[c];
-            merged.cell_boxes[cb + c] = cells.cell_boxes[c];
-            shard_of_cell[cb + c] = static_cast<uint32_t>(s);
-          }
-          for (size_t i = 0; i < cells.num_points(); ++i) {
-            merged.points[pb + i] = cells.points[i];
-            merged.orig_index[pb + i] = shard_gids[s][cells.orig_index[i]];
-            merged_counts[pb + i] = shard_counts[s][i];
-          }
-        },
-        1);
-    dbscan::AddSeconds(sink.build_cells_seconds, timer.Seconds());
-
-    // Boundary classification: an O(m) coords scan. Like the copy above
-    // this is recomposition bookkeeping, not merge work — only the two
-    // seam-proportional steps below (phases 3a/3b) count as the merge.
-    timer.Reset();
+    std::vector<uint32_t> merged_counts;
+    std::vector<uint32_t> shard_of_cell;
     std::vector<uint32_t> boundary;  // Merged ids, ascending.
-    for (size_t g = 0; g < m; ++g) {
-      if (plan_.IsBoundary(merged.coords[g][plan_.axis])) {
-        boundary.push_back(static_cast<uint32_t>(g));
+    {
+      telemetry::TraceSpan span("shard_recompose", sink.build_cells_seconds);
+      std::vector<size_t> point_base(num_shards + 1, 0);
+      info_.shard_points.resize(num_shards);
+      info_.shard_cells.resize(num_shards);
+      for (size_t s = 0; s < num_shards; ++s) {
+        info_.shard_points[s] = shards[s].num_points();
+        info_.shard_cells[s] = shards[s].num_cells();
+        cell_base[s + 1] = cell_base[s] + shards[s].num_cells();
+        point_base[s + 1] = point_base[s] + shards[s].num_points();
+      }
+      const size_t m = cell_base[num_shards];
+      merged.epsilon = epsilon;
+      merged.metric = options_.metric;
+      merged.ResizeForCells(m, n);
+      merged_counts.assign(n, 0);
+      shard_of_cell.resize(m);
+      parallel::parallel_for(
+          0, num_shards,
+          [&](size_t s) {
+            const CellStructure<D>& cells = shards[s];
+            const size_t cb = cell_base[s];
+            const size_t pb = point_base[s];
+            for (size_t c = 0; c < cells.num_cells(); ++c) {
+              merged.offsets[cb + c + 1] = pb + cells.offsets[c + 1];
+              merged.coords[cb + c] = cells.coords[c];
+              merged.cell_boxes[cb + c] = cells.cell_boxes[c];
+              shard_of_cell[cb + c] = static_cast<uint32_t>(s);
+            }
+            for (size_t i = 0; i < cells.num_points(); ++i) {
+              merged.points[pb + i] = cells.points[i];
+              merged.orig_index[pb + i] = shard_gids[s][cells.orig_index[i]];
+              merged_counts[pb + i] = shard_counts[s][i];
+            }
+          },
+          1);
+      for (size_t g = 0; g < m; ++g) {
+        if (plan_.IsBoundary(merged.coords[g][plan_.axis])) {
+          boundary.push_back(static_cast<uint32_t>(g));
+        }
       }
     }
+    const size_t m = cell_base[num_shards];
     info_.boundary_cells = boundary.size();
     info_.interior_cells = m - boundary.size();
-    double recompose_seconds = timer.Seconds();
+
+    // Stage attribution of phase 3 mirrors an unsharded build: adjacency
+    // discovery and the CSR are cell construction, the recount is MarkCore.
+    // The two seam-proportional steps also make the shard_merge_seconds
+    // overlay (see stats.h), so they time into `seam`, a sink of their own,
+    // and reach `sink` through MergeFrom with the overlay set to their sum.
+    dbscan::PipelineStats seam;
 
     // --- Phase 3a: cross-seam adjacency discovery — seam-proportional.
     // Any eps-neighbor of a boundary cell that lives in another shard is
@@ -363,86 +357,76 @@ class ShardedCellIndex {
     // boundary[i] as merged ids, sorted so the final layout is independent
     // of discovery order. One code path with the full builder:
     // ForEachNeighborAmong is the same dispatch BuildGridAdjacency uses. --
-    timer.Reset();
-    const uint64_t merge_span_start =
-        telemetry::TraceEnabled() ? telemetry::NowNanos() : 0;
     std::vector<std::vector<uint32_t>> cross(boundary.size());
-    if (!boundary.empty() && num_shards > 1) {
-      dbscan::ForEachNeighborAmong<D>(
-          merged, std::span<const uint32_t>(boundary), plan_.origin,
-          plan_.side, [&](size_t i, size_t j) {
-            if (shard_of_cell[boundary[i]] != shard_of_cell[boundary[j]]) {
-              cross[i].push_back(boundary[j]);
-            }
-          });
+    {
+      telemetry::TraceSpan span("shard_merge", seam.build_cells_seconds);
+      if (!boundary.empty() && num_shards > 1) {
+        dbscan::ForEachNeighborAmong<D>(
+            merged, std::span<const uint32_t>(boundary), plan_.origin,
+            plan_.side, [&](size_t i, size_t j) {
+              if (shard_of_cell[boundary[i]] != shard_of_cell[boundary[j]]) {
+                cross[i].push_back(boundary[j]);
+              }
+            });
+      }
+      for (auto& list : cross) {
+        std::sort(list.begin(), list.end());
+        info_.seam_links += list.size();
+      }
     }
-    size_t seam_links = 0;
-    for (auto& list : cross) {
-      std::sort(list.begin(), list.end());
-      seam_links += list.size();
-    }
-    info_.seam_links = seam_links;
-    const double discovery_seconds = timer.Seconds();
 
     // --- Phase 2 (continued): the merged CSR — within-shard adjacency
     // re-based, cross-seam lists appended. Walks every cell and edge, so
     // it is recomposition work (an unsharded build does the equivalent
     // inside BuildGridAdjacency), deliberately NOT counted as merge. ------
-    timer.Reset();
-    merged.nbr_offsets.assign(m + 1, 0);
-    size_t bi = 0;  // Walks `boundary` in step with g (both ascending).
-    for (size_t g = 0; g < m; ++g) {
-      const size_t s = shard_of_cell[g];
-      const size_t c = g - cell_base[s];
-      size_t deg = shards[s].nbr_offsets[c + 1] - shards[s].nbr_offsets[c];
-      if (bi < boundary.size() && boundary[bi] == g) deg += cross[bi++].size();
-      merged.nbr_offsets[g + 1] = merged.nbr_offsets[g] + deg;
-    }
-    merged.nbrs.resize(merged.nbr_offsets[m]);
-    parallel::parallel_for(0, m, [&](size_t g) {
-      const size_t s = shard_of_cell[g];
-      const size_t c = g - cell_base[s];
-      size_t w = merged.nbr_offsets[g];
-      for (const uint32_t h : shards[s].neighbors(c)) {
-        merged.nbrs[w++] = static_cast<uint32_t>(cell_base[s] + h);
-      }
-      const auto it =
-          std::lower_bound(boundary.begin(), boundary.end(), g);
-      if (it != boundary.end() && *it == g) {
-        for (const uint32_t h : cross[static_cast<size_t>(
-                 it - boundary.begin())]) {
-          merged.nbrs[w++] = h;
+    {
+      telemetry::TraceSpan span("shard_recompose", sink.build_cells_seconds);
+      merged.nbr_offsets.assign(m + 1, 0);
+      size_t bi = 0;  // Walks `boundary` in step with g (both ascending).
+      for (size_t g = 0; g < m; ++g) {
+        const size_t s = shard_of_cell[g];
+        const size_t c = g - cell_base[s];
+        size_t deg = shards[s].nbr_offsets[c + 1] - shards[s].nbr_offsets[c];
+        if (bi < boundary.size() && boundary[bi] == g) {
+          deg += cross[bi++].size();
         }
+        merged.nbr_offsets[g + 1] = merged.nbr_offsets[g] + deg;
       }
-    });
-    // Lanes over the merged points: the seam recount below and every query
-    // on the adopted index run through the SIMD distance kernels.
-    merged.BuildSoALanes();
-    recompose_seconds += timer.Seconds();
+      merged.nbrs.resize(merged.nbr_offsets[m]);
+      parallel::parallel_for(0, m, [&](size_t g) {
+        const size_t s = shard_of_cell[g];
+        const size_t c = g - cell_base[s];
+        size_t w = merged.nbr_offsets[g];
+        for (const uint32_t h : shards[s].neighbors(c)) {
+          merged.nbrs[w++] = static_cast<uint32_t>(cell_base[s] + h);
+        }
+        const auto it =
+            std::lower_bound(boundary.begin(), boundary.end(), g);
+        if (it != boundary.end() && *it == g) {
+          for (const uint32_t h : cross[static_cast<size_t>(
+                   it - boundary.begin())]) {
+            merged.nbrs[w++] = h;
+          }
+        }
+      });
+      // Lanes over the merged points: the seam recount below and every
+      // query on the adopted index run through the SIMD distance kernels.
+      merged.BuildSoALanes();
+    }
 
     // --- Phase 3b: boundary recount against the completed adjacency —
     // seam-proportional, and the only MarkCore work that crosses a seam
     // (the exact analogue of streaming's dirty-cell recount). -------------
-    timer.Reset();
-    dbscan::MarkCoreCountsForCells<D>(
-        merged, counts_cap, RangeCountMethod::kScan, nullptr,
-        std::span<const uint32_t>(boundary), merged_counts, &sink);
-    const double recount_seconds = timer.Seconds();
-    if (merge_span_start != 0) {
-      telemetry::RecordSpan("shard_merge", telemetry::CurrentTraceId(),
-                            telemetry::CurrentSpanId(), merge_span_start,
-                            telemetry::NowNanos());
+    {
+      telemetry::TraceSpan span("shard_merge", seam.mark_core_seconds);
+      dbscan::MarkCoreCountsForCells<D>(
+          merged, counts_cap, RangeCountMethod::kScan, nullptr,
+          std::span<const uint32_t>(boundary), merged_counts, &sink);
     }
-
-    // Stage attribution mirrors an unsharded build: classification, CSR
-    // and adjacency discovery are cell construction; the recount is
-    // MarkCore. shard_merge_seconds overlays the two seam-proportional
-    // spans so "merge cost" is directly readable (see stats.h).
-    dbscan::AddSeconds(sink.build_cells_seconds,
-                       recompose_seconds + discovery_seconds);
-    dbscan::AddSeconds(sink.mark_core_seconds, recount_seconds);
-    info_.merge_seconds = discovery_seconds + recount_seconds;
-    dbscan::AddSeconds(sink.shard_merge_seconds, info_.merge_seconds);
+    info_.merge_seconds =
+        seam.build_cells_seconds.load() + seam.mark_core_seconds.load();
+    seam.shard_merge_seconds.store(info_.merge_seconds);
+    sink.MergeFrom(seam);
     sink.shard_interior_cells.fetch_add(info_.interior_cells,
                                         std::memory_order_relaxed);
     sink.shard_boundary_cells.fetch_add(info_.boundary_cells,

@@ -80,7 +80,6 @@
 #include "parallel/scheduler.h"
 #include "persist/journal.h"
 #include "telemetry/trace.h"
-#include "util/timer.h"
 
 namespace pdbscan::streaming {
 
@@ -95,8 +94,6 @@ struct UpdateStats {
   size_t cells_retained = 0;
   size_t cells_created = 0;
   size_t cells_vanished = 0;
-  double recompose_seconds = 0;  // Bucket + flat-structure + adjacency work.
-  double recount_seconds = 0;    // MarkCore over the rebuilt cells.
 };
 
 template <int D>
@@ -262,7 +259,6 @@ class DynamicCellIndex {
     // before any in-memory state changes, so a crash mid-apply replays it.
     if (journal_ != nullptr) journal_->Append(inserts, erases, next_id_);
 
-    util::Timer timer;
     CoordsSet dirty;
     dirty.reserve(erases.size() + inserts.size());
 
@@ -320,7 +316,6 @@ class DynamicCellIndex {
     UpdateStats update = Recompose(dirty, vanished);
     update.points_inserted = inserts.size();
     update.points_erased = erases.size();
-    update.recompose_seconds = timer.Seconds() - update.recount_seconds;
     Publish(update);
     return first_id;
   }
@@ -404,7 +399,8 @@ class DynamicCellIndex {
     // This pass touches every cell, but as a memcpy-scale copy — the
     // semisort, adjacency hashing and (below) MarkCore work that dominate a
     // from-scratch build are either O(cells) or confined to the dirty set.
-    util::Timer timer;
+    telemetry::TraceSpan recompose("streaming_recompose",
+                                   stats_->build_cells_seconds);
     dbscan::CellStructure<D> cells;
     cells.epsilon = epsilon_;
     cells.metric = options_.metric;
@@ -474,15 +470,16 @@ class DynamicCellIndex {
         }
       }
     }
-    dbscan::AddSeconds(stats_->build_cells_seconds, timer.Seconds());
+    recompose.Close();
 
     // Counts: copy retained cells from the previous snapshot, recount the
     // rest through the same Algorithm 2 body the full build uses.
-    timer.Reset();
-    std::vector<uint32_t> counts(n);
+    std::vector<uint32_t> counts;
     std::vector<uint32_t> rebuilt_list;
     {
-      telemetry::TraceSpan span("streaming_recount");
+      telemetry::TraceSpan span("streaming_recount",
+                                stats_->mark_core_seconds);
+      counts.resize(n);
       for (size_t c = 0; c < m; ++c) {
         if (recount[c]) rebuilt_list.push_back(static_cast<uint32_t>(c));
       }
@@ -507,8 +504,6 @@ class DynamicCellIndex {
           cells, counts_cap_, RangeCountMethod::kScan, nullptr,
           std::span<const uint32_t>(rebuilt_list), counts, stats_);
     }
-    update.recount_seconds = timer.Seconds();
-    dbscan::AddSeconds(stats_->mark_core_seconds, update.recount_seconds);
 
     update.cells_rebuilt = rebuilt_list.size();
     update.cells_retained = m - rebuilt_list.size();

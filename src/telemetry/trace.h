@@ -4,9 +4,11 @@
 //
 // Cost model. Tracing is OFF by default; the only cost a disabled build
 // pays is one inlined relaxed atomic load + branch per span site
-// (TraceEnabled()). When enabled, a span is two steady_clock reads, a
-// thread-local stack push/pop and one ring append — no allocation, no
-// locks. Span names must be STATIC strings (the ring stores the pointer).
+// (TraceEnabled()), plus, for a stage span that carries a seconds field,
+// the two steady_clock reads that time the stage anyway. When enabled, a
+// span is two steady_clock reads, a thread-local stack push/pop and one
+// ring append — no allocation, no locks. Span names must be STATIC strings
+// (the ring stores the pointer).
 //
 // Context model. Each thread carries a TraceContext: the ambient trace id
 // plus a bounded stack of open span ids. TraceSpan reads the stack top as
@@ -269,19 +271,75 @@ class ScopedTraceContext {
   bool pushed_;
 };
 
-// The RAII span. Construction with tracing disabled is a relaxed load and
-// a branch; nothing else happens (and nothing is recorded at destruction
-// even if tracing was enabled mid-span).
+// Accumulates seconds into a relaxed atomic double (CAS loop: fetch_add on
+// atomic<double> needs C++20 library support that not all toolchains ship).
+inline void AddSeconds(std::atomic<double>& slot, double seconds) {
+  double cur = slot.load(std::memory_order_relaxed);
+  while (!slot.compare_exchange_weak(cur, cur + seconds,
+                                     std::memory_order_relaxed)) {
+  }
+}
+
+// The RAII span, and the one way to time a pipeline stage.
+//
+// TraceSpan(name) only traces: with tracing disabled, construction is a
+// relaxed load and a branch and nothing else happens (nothing is recorded
+// at destruction even if tracing was enabled mid-span).
+//
+// TraceSpan(name, seconds) times a stage: it reads the clock at open and at
+// close whether or not tracing is on, adds the elapsed time to `seconds`
+// (a PipelineStats *_seconds field), and — tracing on — records the span
+// with those same two timestamps, so the field and the span cannot drift.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name) {
-    if (!TraceEnabled()) return;
+    if (TraceEnabled()) Open(name, NowNanos());
+  }
+
+  TraceSpan(const char* name, std::atomic<double>& seconds)
+      : seconds_(&seconds), start_nanos_(NowNanos()) {
+    if (TraceEnabled()) Open(name, start_nanos_);
+  }
+
+  ~TraceSpan() { Close(); }
+
+  TraceSpan(const TraceSpan&) = delete;
+  TraceSpan& operator=(const TraceSpan&) = delete;
+
+  // Ends the span now rather than at scope exit and returns its duration
+  // in seconds — for a stage whose seconds also land somewhere besides the
+  // sink. Later calls (and the destructor) do nothing and return 0, as
+  // does closing a trace-only span with tracing off.
+  double Close() {
+    if (seconds_ == nullptr && !active_) return 0;
+    const uint64_t end_nanos = NowNanos();
+    const double elapsed =
+        static_cast<double>(end_nanos - start_nanos_) * 1e-9;
+    if (seconds_ != nullptr) {
+      AddSeconds(*seconds_, elapsed);
+      seconds_ = nullptr;
+    }
+    if (active_) {
+      active_ = false;
+      internal::TraceContext& ctx = internal::ThreadTraceContext();
+      if (pushed_ && ctx.depth > 0) --ctx.depth;
+      GlobalTraceRing().Append({name_, trace_id_, span_id_, parent_id_,
+                                start_nanos_, end_nanos});
+    }
+    return elapsed;
+  }
+
+  uint64_t span_id() const { return span_id_; }
+  bool active() const { return active_; }
+
+ private:
+  void Open(const char* name, uint64_t start_nanos) {
     internal::TraceContext& ctx = internal::ThreadTraceContext();
     name_ = name;
     trace_id_ = ctx.trace_id;
     parent_id_ = ctx.top();
     span_id_ = NextSpanId();
-    start_nanos_ = NowNanos();
+    start_nanos_ = start_nanos;
     if (ctx.depth < internal::TraceContext::kMaxDepth) {
       ctx.stack[ctx.depth++] = span_id_;
       pushed_ = true;
@@ -289,27 +347,7 @@ class TraceSpan {
     active_ = true;
   }
 
-  ~TraceSpan() {
-    if (!active_) return;
-    internal::TraceContext& ctx = internal::ThreadTraceContext();
-    if (pushed_ && ctx.depth > 0) --ctx.depth;
-    SpanRecord rec;
-    rec.name = name_;
-    rec.trace_id = trace_id_;
-    rec.span_id = span_id_;
-    rec.parent_id = parent_id_;
-    rec.start_nanos = start_nanos_;
-    rec.end_nanos = NowNanos();
-    GlobalTraceRing().Append(rec);
-  }
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  uint64_t span_id() const { return span_id_; }
-  bool active() const { return active_; }
-
- private:
+  std::atomic<double>* seconds_ = nullptr;  // Null: trace-only.
   const char* name_ = nullptr;
   uint64_t trace_id_ = 0;
   uint64_t span_id_ = 0;

@@ -14,7 +14,6 @@
 #include "parallel/scheduler.h"
 #include "primitives/filter.h"
 #include "primitives/integer_sort.h"
-#include "primitives/merge.h"
 #include "primitives/pointer_jump.h"
 #include "primitives/random.h"
 #include "primitives/reduce.h"
@@ -484,35 +483,6 @@ TEST(Semisort, EmptyInput) {
       [](uint64_t k) { return k; }, [](uint64_t a, uint64_t b) { return a == b; });
   EXPECT_EQ(result.num_groups(), 0u);
 }
-
-// --- Merge ---------------------------------------------------------------------
-
-class MergeTest : public ::testing::TestWithParam<std::pair<size_t, size_t>> {};
-
-TEST_P(MergeTest, MatchesStdMerge) {
-  const auto [na, nb] = GetParam();
-  std::mt19937 rng(static_cast<unsigned>(na * 131 + nb));
-  std::vector<int> a(na), b(nb);
-  for (auto& x : a) x = static_cast<int>(rng() % 10000);
-  for (auto& x : b) x = static_cast<int>(rng() % 10000);
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  std::vector<int> expected(na + nb), got(na + nb);
-  std::merge(a.begin(), a.end(), b.begin(), b.end(), expected.begin());
-  ScopedNumWorkers scope(4);
-  primitives::ParallelMerge(std::span<const int>(a), std::span<const int>(b),
-                            std::span<int>(got));
-  EXPECT_EQ(got, expected);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sizes, MergeTest,
-    ::testing::Values(std::pair<size_t, size_t>{0, 0},
-                      std::pair<size_t, size_t>{0, 10},
-                      std::pair<size_t, size_t>{10, 0},
-                      std::pair<size_t, size_t>{1000, 1},
-                      std::pair<size_t, size_t>{50000, 50000},
-                      std::pair<size_t, size_t>{100000, 3000}));
 
 // --- Pointer jumping --------------------------------------------------------------
 

@@ -9,10 +9,14 @@
 // The load-bearing disabled-mode property: a serving sweep produces
 // bit-identical labels with tracing off and on — telemetry observes, it
 // never perturbs.
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <map>
 #include <optional>
 #include <random>
 #include <string>
@@ -31,6 +35,9 @@
 #include "parallel/serving_clock.h"
 #include "parallel/serving_scheduler.h"
 #include "pdbscan/pdbscan.h"
+#include "persist/snapshot.h"
+#include "sharding/sharded_cell_index.h"
+#include "streaming/dynamic_cell_index.h"
 #include "telemetry/metrics.h"
 #include "telemetry/stats_export.h"
 #include "telemetry/trace.h"
@@ -247,6 +254,89 @@ TEST(TelemetryTrace, SpanTreeSelfTimesTelescope) {
   const std::string rendered = telemetry::FormatSpanTree(spans);
   EXPECT_NE(rendered.find("root"), std::string::npos);
   EXPECT_NE(rendered.find("  a"), std::string::npos);
+}
+
+// --- One way to time a stage ------------------------------------------------
+
+// Every SECONDS field of PipelineStats is fed only by TraceSpan(name, field)
+// scopes, so with tracing on a field's delta is exactly the summed duration
+// of the spans that feed it. Runs every producer of stage seconds into one
+// sink under one trace id and checks each field against its spans.
+TEST(StageSpans, SecondsEqualSpanDurations) {
+  TraceGuard trace(true);
+  const uint64_t trace_id = telemetry::NewTraceId();
+  telemetry::ScopedTraceContext ctx(trace_id);
+  dbscan::PipelineStats stats;
+  const auto pts = BlobPoints<2>(6000, 6, 60.0, 1.5, 11);
+  const double eps = 1.0;
+  const size_t cap = 8;
+
+  const dbscan::CellIndex<2> index(pts, eps, cap, Options(), &stats);
+  dbscan::QueryContext<2> query(&stats);
+  query.Run(index, cap);      // In cap: the index's shared counts.
+  query.Run(index, 2 * cap);  // Over cap: a private recount.
+
+  streaming::DynamicCellIndex<2> dynamic(eps, cap, Options(), &stats);
+  dynamic.ApplyUpdates(pts, {});
+
+  const sharding::ShardedCellIndex<2> sharded(pts, eps, cap, 2, Options(),
+                                              &stats);
+  ASSERT_EQ(sharded.num_shards(), 2u);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("pdbscan_stage_spans_" + std::to_string(::getpid()) + ".pdbsnap"))
+          .string();
+  persist::SnapshotWriter<2>::Write(path, index);
+  persist::SnapshotReader<2>::Load(path, persist::LoadMode::kOwned, &stats);
+  std::filesystem::remove(path);
+
+  std::map<std::string, double> span_seconds;
+  int shard_merges = 0;
+  for (const SpanRecord& s :
+       telemetry::GlobalTraceRing().CollectTrace(trace_id)) {
+    std::string name = s.name;
+    // The sharded build's two shard_merge spans, in order: cross-seam
+    // discovery (cell construction), then the boundary recount (MarkCore).
+    if (name == "shard_merge") {
+      name += shard_merges++ == 0 ? ".discovery" : ".recount";
+    }
+    span_seconds[name] += static_cast<double>(s.duration_nanos()) * 1e-9;
+  }
+  EXPECT_EQ(shard_merges, 2);
+
+  const std::map<std::string, std::vector<std::string>> feeds = {
+      {"snapshot_load_seconds", {"snapshot_load"}},
+      {"build_cells_seconds",
+       {"build_cells", "streaming_recompose", "shard_build",
+        "shard_recompose", "shard_merge.discovery"}},
+      {"mark_core_seconds",
+       {"mark_core_counts", "mark_core", "streaming_recount", "shard_count",
+        "shard_merge.recount"}},
+      {"cluster_core_seconds", {"cluster_core"}},
+      {"cluster_border_seconds", {"cluster_border"}},
+      {"finalize_seconds", {"finalize"}},
+      {"shard_merge_seconds",
+       {"shard_merge.discovery", "shard_merge.recount"}},
+  };
+  std::map<std::string, double> field_seconds;
+#define PDBSCAN_TEST_SKIP(name)
+#define PDBSCAN_TEST_SECONDS(name) field_seconds[#name] = stats.name.load();
+  PDBSCAN_PIPELINE_STATS_FIELDS(PDBSCAN_TEST_SKIP, PDBSCAN_TEST_SKIP,
+                                PDBSCAN_TEST_SECONDS)
+#undef PDBSCAN_TEST_SKIP
+#undef PDBSCAN_TEST_SECONDS
+  ASSERT_EQ(field_seconds.size(), feeds.size());
+  for (const auto& [field, seconds] : field_seconds) {
+    const auto it = feeds.find(field);
+    ASSERT_NE(it, feeds.end()) << field << " has no spans listed";
+    double summed = 0;
+    for (const std::string& name : it->second) {
+      EXPECT_GT(span_seconds[name], 0) << name;
+      summed += span_seconds[name];
+    }
+    EXPECT_NEAR(seconds, summed, 1e-6) << field;
+  }
 }
 
 // --- Wire-protocol version tolerance ----------------------------------------
