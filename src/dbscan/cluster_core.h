@@ -44,6 +44,7 @@
 #include "geometry/wavefront.h"
 #include "kernels/kernel_api.h"
 #include "parallel/scheduler.h"
+#include "primitives/filter.h"
 #include "primitives/scan.h"
 #include "primitives/sort.h"
 
@@ -99,6 +100,9 @@ CoreIndex BuildCoreIndex(const CellStructure<D>& cells,
 }
 
 // --- Connectors -----------------------------------------------------------
+//
+// Every connector's Connected(g, h, kc) adds the kernel work it does to
+// `kc`; the driver flushes it into the stats sink once per source cell.
 
 // Vectorized, early-terminating BCP on core points, with the Gan–Tao
 // pre-filter that drops points farther than epsilon from the other cell.
@@ -110,61 +114,64 @@ CoreIndex BuildCoreIndex(const CellStructure<D>& cells,
 template <int D>
 class BcpConnector {
  public:
-  BcpConnector(const CellStructure<D>& cells, const CoreIndex& core,
-               PipelineStats* stats = nullptr)
-      : cells_(cells), core_(core), stats_(stats) {}
+  BcpConnector(const CellStructure<D>& cells, const CoreIndex& core)
+      : cells_(cells), core_(core) {}
 
-  bool Connected(size_t g, size_t h) const {
+  bool Connected(size_t g, size_t h, kernels::Counters& kc) const {
+    // Per-thread scratch that keeps its capacity, so a steady-state query
+    // does no heap allocation. Connected runs no parallel code, so a thread
+    // never re-enters it while the scratch is in use.
+    thread_local Scratch s;
     const Metric metric = cells_.metric;
     const double threshold = MetricThreshold(cells_.epsilon, metric);
     // Filter each side against the other cell's box.
-    std::vector<uint32_t> a = FilterByBox(g, h, threshold);
-    if (a.empty()) return false;
-    std::vector<uint32_t> b = FilterByBox(h, g, threshold);
-    if (b.empty()) return false;
-    const std::vector<uint32_t>& target = a.size() <= b.size() ? a : b;
-    const std::vector<uint32_t>& probes = a.size() <= b.size() ? b : a;
+    FilterByBox(g, h, threshold, s.a);
+    if (s.a.empty()) return false;
+    FilterByBox(h, g, threshold, s.b);
+    if (s.b.empty()) return false;
+    const std::vector<uint32_t>& target = s.a.size() <= s.b.size() ? s.a : s.b;
+    const std::vector<uint32_t>& probes = s.a.size() <= s.b.size() ? s.b : s.a;
     // Gather the target side's coordinates into lane-major scratch.
     const size_t m = target.size();
-    std::vector<double> scratch(m * static_cast<size_t>(D));
+    s.lanes.resize(m * static_cast<size_t>(D));
     std::array<const double*, D> lanes;
     for (int d = 0; d < D; ++d) {
-      double* lane = scratch.data() + static_cast<size_t>(d) * m;
+      double* lane = s.lanes.data() + static_cast<size_t>(d) * m;
       for (size_t i = 0; i < m; ++i) lane[i] = cells_.points[target[i]][d];
       lanes[static_cast<size_t>(d)] = lane;
     }
-    kernels::Counters kc;
     const kernels::CountWithinFn count_within =
         CountWithinForMetric(kernels::Ops(), metric);
-    bool connected = false;
     for (const uint32_t pos : probes) {
       if (count_within(lanes.data(), 1, D, m, cells_.points[pos].x.data(),
                        threshold, 1, &kc) > 0) {
-        connected = true;
-        break;
+        return true;
       }
     }
-    if (stats_ != nullptr) FlushKernelCounters(*stats_, kc);
-    return connected;
+    return false;
   }
 
  private:
+  struct Scratch {
+    std::vector<uint32_t> a;    // Filtered core positions of one cell.
+    std::vector<uint32_t> b;    // ... and of the other.
+    std::vector<double> lanes;  // The smaller side's coordinates, lane-major.
+  };
+
   // Core positions of cell `from` within eps of cell `against`'s box.
-  std::vector<uint32_t> FilterByBox(size_t from, size_t against,
-                                    double threshold) const {
-    std::vector<uint32_t> kept;
+  void FilterByBox(size_t from, size_t against, double threshold,
+                   std::vector<uint32_t>& kept) const {
+    kept.clear();
     for (const uint32_t pos : core_.core_of(from)) {
       if (BoxMinMeasure<D>(cells_.cell_boxes[against], cells_.points[pos],
                            cells_.metric) <= threshold) {
         kept.push_back(pos);
       }
     }
-    return kept;
   }
 
   const CellStructure<D>& cells_;
   const CoreIndex& core_;
-  PipelineStats* stats_;
 };
 
 // BCP decided by quadtree range queries over the neighbor cell's core
@@ -187,7 +194,7 @@ class QuadtreeBcpConnector {
         1);
   }
 
-  bool Connected(size_t g, size_t h) const {
+  bool Connected(size_t g, size_t h, kernels::Counters& kc) const {
     // Query the smaller side's points against the bigger side's tree.
     size_t from = g, into = h;
     if (core_.core_count(h) < core_.core_count(g)) std::swap(from, into);
@@ -196,7 +203,7 @@ class QuadtreeBcpConnector {
     for (const uint32_t pos : core_.core_of(from)) {
       const geometry::Point<D>& p = cells_.points[pos];
       if (cells_.cell_boxes[into].MinSquaredDistance(p) > eps2) continue;
-      if (trees_[into]->ContainsInBall(p, eps)) return true;
+      if (trees_[into]->ContainsInBall(p, eps, &kc)) return true;
     }
     return false;
   }
@@ -236,7 +243,7 @@ class ApproxConnector {
         1);
   }
 
-  bool Connected(size_t g, size_t h) const {
+  bool Connected(size_t g, size_t h, kernels::Counters& kc) const {
     const size_t from = std::min(g, h);
     const size_t into = std::max(g, h);
     const double eps = cells_.epsilon;
@@ -245,7 +252,7 @@ class ApproxConnector {
     for (const uint32_t pos : core_.core_of(from)) {
       const geometry::Point<D>& p = cells_.points[pos];
       if (cells_.cell_boxes[into].MinSquaredDistance(p) > outer2) continue;
-      if (trees_[into]->ApproxContainsInBall(p, eps, rho_)) return true;
+      if (trees_[into]->ApproxContainsInBall(p, eps, rho_, &kc)) return true;
     }
     return false;
   }
@@ -284,7 +291,7 @@ class UsecConnector {
         1);
   }
 
-  bool Connected(size_t g, size_t h) const {
+  bool Connected(size_t g, size_t h, kernels::Counters& /*kc*/) const {
     const auto& bg = cells_.cell_boxes[g];
     const auto& bh = cells_.cell_boxes[h];
     // Pick a separating axis-parallel line; disjoint boxes always have one
@@ -329,7 +336,8 @@ class UsecConnector {
 // Runs Algorithm 3 with the given connectivity predicate: size-sorted cell
 // order, optional bucketing batches, union-find pruning, and the
 // "higher-priority cell initiates" rule so each pair is queried at most
-// once. Query counters accumulate into `stats` (callers running concurrent
+// once. Query and kernel counters are kept per source cell and flushed into
+// `stats` once per cell, not once per pair (callers running concurrent
 // queries pass their per-context sink; the default is the process-wide one).
 template <int D, typename Connector>
 void ClusterCoreWithConnector(const CellStructure<D>& cells,
@@ -338,20 +346,20 @@ void ClusterCoreWithConnector(const CellStructure<D>& cells,
                               containers::UnionFind& uf,
                               PipelineStats& stats = GlobalStats()) {
   const size_t num_cells = cells.num_cells();
-  std::vector<uint32_t> core_cells;
-  core_cells.reserve(num_cells);
-  for (size_t c = 0; c < num_cells; ++c) {
-    if (core.cell_is_core[c]) core_cells.push_back(static_cast<uint32_t>(c));
-  }
+  std::vector<size_t> core_cells = primitives::FilterIndex(
+      num_cells, [&](size_t c) { return core.cell_is_core[c] != 0; });
   // SortBySize: non-increasing core-point count (ties by id).
-  primitives::ParallelSort(core_cells, [&](uint32_t a, uint32_t b) {
+  primitives::ParallelSort(core_cells, [&](size_t a, size_t b) {
     const size_t ca = core.core_count(a);
     const size_t cb = core.core_count(b);
     if (ca != cb) return ca > cb;
     return a < b;
   });
-  std::vector<uint32_t> rank(num_cells, 0);
-  for (size_t i = 0; i < core_cells.size(); ++i) rank[core_cells[i]] = i;
+  // Only core cells' ranks are read.
+  std::vector<uint32_t> rank(num_cells);
+  parallel::parallel_for(0, core_cells.size(), [&](size_t i) {
+    rank[core_cells[i]] = static_cast<uint32_t>(i);
+  });
 
   const size_t m = core_cells.size();
   const size_t num_batches =
@@ -363,20 +371,35 @@ void ClusterCoreWithConnector(const CellStructure<D>& cells,
     parallel::parallel_for(
         lo, hi,
         [&](size_t i) {
-          const uint32_t g = core_cells[i];
+          const size_t g = core_cells[i];
+          size_t pruned = 0;
+          size_t executed = 0;
+          size_t linked = 0;
+          kernels::Counters kc;
           for (const uint32_t h : cells.neighbors(g)) {
             if (!core.cell_is_core[h]) continue;
             if (rank[h] <= i) continue;  // The higher-priority cell queries.
             if (uf.Find(g) == uf.Find(h)) {
-              stats.pruned_queries.fetch_add(1, std::memory_order_relaxed);
+              ++pruned;
               continue;
             }
-            stats.connectivity_queries.fetch_add(1, std::memory_order_relaxed);
-            if (connector.Connected(g, h)) {
-              stats.successful_queries.fetch_add(1, std::memory_order_relaxed);
+            ++executed;
+            if (connector.Connected(g, h, kc)) {
+              ++linked;
               uf.Link(g, h);
             }
           }
+          if (pruned != 0) {
+            stats.pruned_queries.fetch_add(pruned, std::memory_order_relaxed);
+          }
+          if (executed == 0) return;
+          stats.connectivity_queries.fetch_add(executed,
+                                               std::memory_order_relaxed);
+          if (linked != 0) {
+            stats.successful_queries.fetch_add(linked,
+                                               std::memory_order_relaxed);
+          }
+          FlushKernelCounters(stats, kc);
         },
         1);
   }
@@ -424,7 +447,7 @@ void ClusterCore(const CellStructure<D>& cells, const CoreIndex& core,
                  PipelineStats& stats = GlobalStats()) {
   switch (options.connect_method) {
     case ConnectMethod::kBcp: {
-      BcpConnector<D> connector(cells, core, &stats);
+      BcpConnector<D> connector(cells, core);
       ClusterCoreWithConnector(cells, core, options, connector, uf, stats);
       return;
     }

@@ -18,7 +18,9 @@
 #define PDBSCAN_DBSCAN_QUERY_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -32,63 +34,122 @@
 #include "dbscan/types.h"
 #include "dbscan/workspace.h"
 #include "parallel/scheduler.h"
+#include "primitives/filter.h"
+#include "primitives/scan.h"
+#include "primitives/sort.h"
 #include "telemetry/trace.h"
 
 namespace pdbscan::dbscan {
 
 namespace internal {
 
+// Lowers `slot` to `value` if that is smaller, atomically.
+inline void WriteMin(uint32_t& slot, uint32_t value) {
+  std::atomic_ref<uint32_t> ref(slot);
+  uint32_t current = ref.load(std::memory_order_relaxed);
+  while (value < current &&
+         !ref.compare_exchange_weak(current, value,
+                                    std::memory_order_relaxed)) {
+  }
+}
+
 // Relabels union-find roots to consecutive cluster ids, assigned by the
 // first appearance in the caller's point order, and assembles the public
-// Clustering. `point_roots` holds, for each reordered position, the sorted
-// list of root cells the point belongs to (one entry for core points,
-// possibly several for border points, none for noise). Scratch lives in
-// `ws`; the returned Clustering owns fresh storage.
+// Clustering from `roots` (ClusterBorder's output). Scratch lives in `ws`;
+// the returned Clustering owns fresh storage.
+//
+// A serial pass over the points in original order, numbering each point's
+// roots in ascending order as they first appear, orders the roots by
+// (smallest original index of a member, root id). That is computed here in
+// parallel: a write-min of each root's first index, a filter of the roots
+// in use, and a sort by that key; memberships are then a count per
+// original index, an exclusive scan and a parallel fill.
 template <int D>
 Clustering Finalize(const CellStructure<D>& cells,
                     const std::vector<uint8_t>& core_flags,
-                    const std::vector<std::vector<uint32_t>>& point_roots,
-                    Workspace<D>& ws) {
+                    const PointRoots& roots, Workspace<D>& ws) {
+  constexpr uint32_t kNoRoot = PointRoots::kNoRoot;
+  constexpr uint32_t kMultiRoot = PointRoots::kMultiRoot;
+  constexpr uint32_t kUnused = std::numeric_limits<uint32_t>::max();
   const size_t n = cells.num_points();
+  const size_t num_cells = cells.num_cells();
+  const size_t num_multi = roots.num_multi();
+  const auto& orig = cells.orig_index;
   Clustering out;
   out.cluster.assign(n, Clustering::kNoise);
-  out.is_core.assign(n, 0);
-  out.membership_offsets.assign(n + 1, 0);
+  out.is_core.resize(n);
+  out.membership_offsets.resize(n + 1);
 
-  // Gather per-original-index membership lists.
-  ws.by_orig.assign(n, nullptr);
-  parallel::parallel_for(0, n, [&](size_t i) {
-    const uint32_t orig = cells.orig_index[i];
-    ws.by_orig[orig] = &point_roots[i];
-    out.is_core[orig] = core_flags[i];
+  // Each root's first original index: one write-min per run of equal roots
+  // within a cell (a core cell's points share one), one per side-list entry.
+  ws.first_index.assign(num_cells, kUnused);
+  parallel::parallel_for(
+      0, num_cells,
+      [&](size_t c) {
+        uint32_t run_root = kNoRoot;
+        uint32_t run_min = kUnused;
+        for (size_t i = cells.offsets[c]; i < cells.offsets[c + 1]; ++i) {
+          const uint32_t r = roots.root[i];
+          if (r == kNoRoot || r == kMultiRoot) continue;
+          if (r != run_root && run_root != kNoRoot) {
+            WriteMin(ws.first_index[run_root], run_min);
+            run_min = kUnused;
+          }
+          run_root = r;
+          run_min = std::min<uint32_t>(run_min, orig[i]);
+        }
+        if (run_root != kNoRoot) WriteMin(ws.first_index[run_root], run_min);
+      },
+      1);
+  parallel::parallel_for(0, num_multi, [&](size_t k) {
+    const uint32_t first = orig[roots.multi_points[k]];
+    for (const uint32_t r : roots.multi_roots_of(k)) {
+      WriteMin(ws.first_index[r], first);
+    }
   });
 
-  // First-appearance relabeling (serial, O(n + memberships)).
-  ws.root_to_id.assign(cells.num_cells(), -1);
-  int64_t next_id = 0;
-  size_t total_memberships = 0;
-  for (size_t i = 0; i < n; ++i) {
-    for (const uint32_t root : *ws.by_orig[i]) {
-      if (ws.root_to_id[root] < 0) ws.root_to_id[root] = next_id++;
-      ++total_memberships;
-    }
-  }
-  out.num_clusters = static_cast<size_t>(next_id);
+  // Cluster ids: the roots in use, ordered by (first index, root id).
+  std::vector<size_t> used = primitives::FilterIndex(
+      num_cells, [&](size_t r) { return ws.first_index[r] != kUnused; });
+  primitives::ParallelSort(used, [&](size_t a, size_t b) {
+    const uint32_t fa = ws.first_index[a];
+    const uint32_t fb = ws.first_index[b];
+    return fa != fb ? fa < fb : a < b;
+  });
+  ws.root_to_id.resize(num_cells);  // Only roots in use are read.
+  parallel::parallel_for(0, used.size(), [&](size_t k) {
+    ws.root_to_id[used[k]] = static_cast<int64_t>(k);
+  });
+  out.num_clusters = used.size();
 
-  for (size_t i = 0; i < n; ++i) {
-    out.membership_offsets[i + 1] =
-        out.membership_offsets[i] + ws.by_orig[i]->size();
-  }
-  out.membership_ids.resize(total_memberships);
+  // Membership counts per original index, scanned into offsets.
   parallel::parallel_for(0, n, [&](size_t i) {
-    size_t w = out.membership_offsets[i];
-    for (const uint32_t root : *ws.by_orig[i]) {
-      out.membership_ids[w++] = ws.root_to_id[root];
-    }
-    auto begin = out.membership_ids.begin() + out.membership_offsets[i];
-    auto end = out.membership_ids.begin() + out.membership_offsets[i + 1];
-    std::sort(begin, end);
-    if (begin != end) out.cluster[i] = *begin;
+    const uint32_t r = roots.root[i];
+    out.membership_offsets[orig[i]] = r == kNoRoot || r == kMultiRoot ? 0 : 1;
+    out.is_core[orig[i]] = core_flags[i];
+  });
+  parallel::parallel_for(0, num_multi, [&](size_t k) {
+    out.membership_offsets[orig[roots.multi_points[k]]] =
+        roots.multi_roots_of(k).size();
+  });
+  out.membership_offsets[n] = 0;
+  out.membership_ids.resize(
+      primitives::ScanExclusive(out.membership_offsets));
+
+  parallel::parallel_for(0, n, [&](size_t i) {
+    const uint32_t r = roots.root[i];
+    if (r == kNoRoot || r == kMultiRoot) return;
+    const size_t o = orig[i];
+    out.cluster[o] = ws.root_to_id[r];
+    out.membership_ids[out.membership_offsets[o]] = ws.root_to_id[r];
+  });
+  parallel::parallel_for(0, num_multi, [&](size_t k) {
+    const size_t o = orig[roots.multi_points[k]];
+    const auto begin = out.membership_ids.begin() + out.membership_offsets[o];
+    auto w = begin;
+    for (const uint32_t r : roots.multi_roots_of(k)) *w++ = ws.root_to_id[r];
+    std::sort(begin, w);
+    out.cluster[o] = *begin;
   });
   return out;
 }
@@ -120,26 +181,8 @@ Clustering RunQueryFromCounts(const CellStructure<D>& cells,
 
   {
     telemetry::TraceSpan span("cluster_border", stats.cluster_border_seconds);
-    if (options.core_only) {
-      // DBSCAN*: clusters consist of core points only.
-      ws.point_roots.resize(cells.num_points());
-      parallel::parallel_for(0, ws.point_roots.size(),
-                             [&](size_t i) { ws.point_roots[i].clear(); });
-    } else {
-      ClusterBorderInto(cells, ws.core_flags, core, min_pts, ws.uf,
-                        ws.point_roots);
-    }
-    // Core points belong to exactly their cell's component.
-    parallel::parallel_for(
-        0, cells.num_cells(),
-        [&](size_t c) {
-          if (!core.cell_is_core[c]) return;
-          const uint32_t root = static_cast<uint32_t>(ws.uf.Find(c));
-          for (const uint32_t pos : core.core_of(c)) {
-            ws.point_roots[pos].assign(1, root);
-          }
-        },
-        1);
+    ClusterBorder(cells, ws.core_flags, core, min_pts, options.core_only,
+                  ws.uf, ws.point_roots);
   }
 
   telemetry::TraceSpan span("finalize", stats.finalize_seconds);

@@ -1,10 +1,9 @@
 // Scratch buffers for one query stream, reused across runs.
 //
-// Every vector here is sized with assign/resize instead of being
-// reconstructed, so its allocation (and, for the nested membership lists,
-// every inner allocation) survives from one Run to the next. A parameter
-// sweep through a warm owner therefore touches the allocator only when a
-// buffer genuinely needs to grow.
+// Every vector here is flat and sized with assign/resize instead of being
+// reconstructed, so its allocation survives from one Run to the next. A
+// parameter sweep through a warm owner therefore touches the allocator only
+// when a buffer genuinely needs to grow.
 //
 // Ownership model: a Workspace is private, mutable, per-thread state owned
 // by one QueryContext (cell_index.h) — standalone under concurrent serving,
@@ -15,12 +14,43 @@
 #ifndef PDBSCAN_DBSCAN_WORKSPACE_H_
 #define PDBSCAN_DBSCAN_WORKSPACE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "containers/union_find.h"
 
 namespace pdbscan::dbscan {
+
+// The clusters of every reordered point, as union-find roots (cell ids).
+// Nearly every point has at most one: a core point exactly its cell's, a
+// border point usually one. So `root` holds it inline, one entry per
+// position: the root, kNoRoot for noise, or kMultiRoot for the rare border
+// point shared by several clusters. Those points and their ascending roots
+// sit in a CSR side list, in position order:
+//   multi_roots[multi_offsets[k] .. multi_offsets[k+1]) for multi_points[k].
+struct PointRoots {
+  static constexpr uint32_t kNoRoot = std::numeric_limits<uint32_t>::max();
+  static constexpr uint32_t kMultiRoot = kNoRoot - 1;
+
+  std::vector<uint32_t> root;
+  std::vector<uint32_t> multi_points;
+  std::vector<size_t> multi_offsets;
+  std::vector<uint32_t> multi_roots;
+
+  // Count-then-fill scratch: per cell, its multi-root points and their
+  // roots, scanned into the cell's offsets in the side list.
+  std::vector<size_t> cell_multi_points;
+  std::vector<size_t> cell_multi_roots;
+
+  size_t num_multi() const { return multi_points.size(); }
+  std::span<const uint32_t> multi_roots_of(size_t k) const {
+    return std::span<const uint32_t>(multi_roots.data() + multi_offsets[k],
+                                     multi_offsets[k + 1] - multi_offsets[k]);
+  }
+};
 
 template <int D>
 struct Workspace {
@@ -33,16 +63,15 @@ struct Workspace {
   // Core flags for the current min_pts.
   std::vector<uint8_t> core_flags;
 
-  // Per reordered point, the union-find roots of the clusters it belongs to
-  // (inner vectors keep their capacity across runs).
-  std::vector<std::vector<uint32_t>> point_roots;
+  // Cluster roots per reordered point (ClusterBorder's output).
+  PointRoots point_roots;
 
   // Union-find over cells, Reset() once per run.
   containers::UnionFind uf;
 
-  // Finalize scratch: per-original-index membership pointers and the
-  // root-cell -> consecutive-cluster-id map.
-  std::vector<const std::vector<uint32_t>*> by_orig;
+  // Finalize scratch, per root cell: the smallest original index of a
+  // point in its cluster, and its consecutive cluster id.
+  std::vector<uint32_t> first_index;
   std::vector<int64_t> root_to_id;
 };
 

@@ -1,8 +1,11 @@
 // Unit tests for the pipeline stages in isolation: MarkCore (Algorithm 2),
 // CoreIndex, the connectivity strategies of ClusterCore (Algorithm 3), the
-// border pass (Algorithm 4), pipeline statistics, option naming, and the
-// DBSCAN* extension.
+// border pass (Algorithm 4), the first-appearance relabel, pipeline
+// statistics, option naming, and the DBSCAN* extension.
+#include <algorithm>
 #include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,9 +15,13 @@
 #include "dbscan/cluster_core.h"
 #include "dbscan/grid.h"
 #include "dbscan/mark_core.h"
+#include "dbscan/query.h"
 #include "dbscan/stats.h"
 #include "dbscan/verify.h"
+#include "dbscan/workspace.h"
 #include "data/seed_spreader.h"
+#include "kernels/kernel_api.h"
+#include "parallel/scheduler.h"
 #include "pdbscan/pdbscan.h"
 
 namespace pdbscan {
@@ -129,6 +136,7 @@ TEST(Connectors, AgreeWithBruteForceBcp) {
     dbscan::BcpConnector<2> bcp(cells, core);
     dbscan::QuadtreeBcpConnector<2> qt(cells, core);
     dbscan::UsecConnector usec(cells, core);
+    kernels::Counters kc;
 
     const double eps2 = eps * eps;
     for (size_t g = 0; g < cells.num_cells(); ++g) {
@@ -142,9 +150,10 @@ TEST(Connectors, AgreeWithBruteForceBcp) {
                        cells.points[a].SquaredDistance(cells.points[b]) <= eps2;
           }
         }
-        EXPECT_EQ(bcp.Connected(g, h), expected) << "bcp " << g << "," << h;
-        EXPECT_EQ(qt.Connected(g, h), expected) << "qt " << g << "," << h;
-        EXPECT_EQ(usec.Connected(g, h), expected) << "usec " << g << "," << h;
+        EXPECT_EQ(bcp.Connected(g, h, kc), expected) << "bcp " << g << "," << h;
+        EXPECT_EQ(qt.Connected(g, h, kc), expected) << "qt " << g << "," << h;
+        EXPECT_EQ(usec.Connected(g, h, kc), expected)
+            << "usec " << g << "," << h;
       }
     }
   }
@@ -172,11 +181,34 @@ TEST(Connectors, ApproxIsSandwiched) {
                           cells.points[a].SquaredDistance(cells.points[b]));
         }
       }
-      const bool got = approx.Connected(g, h);
+      kernels::Counters kc;
+      const bool got = approx.Connected(g, h, kc);
       if (best <= inner2) EXPECT_TRUE(got) << g << "," << h;
       if (best > outer2) EXPECT_FALSE(got) << g << "," << h;
     }
   }
+}
+
+// The roots ClusterBorder recorded for reordered position i, ascending.
+std::vector<uint32_t> RootsOf(const dbscan::PointRoots& roots, size_t i) {
+  const uint32_t r = roots.root[i];
+  if (r == dbscan::PointRoots::kNoRoot) return {};
+  if (r != dbscan::PointRoots::kMultiRoot) return {r};
+  const auto it = std::lower_bound(roots.multi_points.begin(),
+                                   roots.multi_points.end(), i);
+  EXPECT_TRUE(it != roots.multi_points.end() && *it == i) << "point " << i;
+  if (it == roots.multi_points.end() || *it != i) return {};
+  const auto k = static_cast<size_t>(it - roots.multi_points.begin());
+  const auto span = roots.multi_roots_of(k);
+  return std::vector<uint32_t>(span.begin(), span.end());
+}
+
+// Cell of reordered position i.
+template <int D>
+size_t CellOf(const CellStructure<D>& cells, size_t i) {
+  const auto it =
+      std::upper_bound(cells.offsets.begin(), cells.offsets.end(), i);
+  return static_cast<size_t>(it - cells.offsets.begin()) - 1;
 }
 
 TEST(ClusterBorder, MultiMembershipAndNoise) {
@@ -189,12 +221,23 @@ TEST(ClusterBorder, MultiMembershipAndNoise) {
   containers::UnionFind uf(cells.num_cells());
   dbscan::BcpConnector<2> bcp(cells, core);
   dbscan::ClusterCoreWithConnector(cells, core, Options{}, bcp, uf);
-  const auto memberships =
-      dbscan::ClusterBorder(cells, flags, core, min_pts, uf);
+  dbscan::PointRoots roots;
+  dbscan::ClusterBorder(cells, flags, core, min_pts, /*core_only=*/false, uf,
+                        roots);
+  ASSERT_EQ(roots.root.size(), cells.num_points());
+  ASSERT_EQ(roots.multi_offsets.size(), roots.num_multi() + 1);
+  EXPECT_TRUE(std::is_sorted(roots.multi_points.begin(),
+                             roots.multi_points.end()));
   const double eps2 = eps * eps;
+  size_t multi = 0;
   for (size_t i = 0; i < cells.num_points(); ++i) {
+    const std::vector<uint32_t> got = RootsOf(roots, i);
+    if (got.size() > 1) ++multi;
     if (flags[i]) {
-      EXPECT_TRUE(memberships[i].empty());  // Filled separately for core.
+      // A core point belongs to exactly its cell's component.
+      EXPECT_EQ(got, std::vector<uint32_t>{static_cast<uint32_t>(
+                         uf.Find(CellOf(cells, i)))})
+          << "core point " << i;
       continue;
     }
     // Expected roots: clusters of core points within eps.
@@ -202,18 +245,208 @@ TEST(ClusterBorder, MultiMembershipAndNoise) {
     for (size_t j = 0; j < cells.num_points(); ++j) {
       if (!flags[j]) continue;
       if (cells.points[i].SquaredDistance(cells.points[j]) <= eps2) {
-        // Cell of j:
-        const auto it = std::upper_bound(cells.offsets.begin(),
-                                         cells.offsets.end(), j);
-        const size_t cj = static_cast<size_t>(it - cells.offsets.begin()) - 1;
-        expected.push_back(static_cast<uint32_t>(uf.Find(cj)));
+        expected.push_back(static_cast<uint32_t>(uf.Find(CellOf(cells, j))));
       }
     }
     std::sort(expected.begin(), expected.end());
     expected.erase(std::unique(expected.begin(), expected.end()),
                    expected.end());
-    EXPECT_EQ(memberships[i], expected) << "point " << i;
+    EXPECT_EQ(got, expected) << "point " << i;
   }
+  EXPECT_EQ(multi, roots.num_multi());
+  EXPECT_GT(multi, 0u);  // The side list is exercised.
+}
+
+// ClusterCore's counters are local per source cell and flushed once per
+// cell: every candidate pair the driver considers is counted exactly once,
+// as pruned or as executed, at any worker count.
+TEST(ClusterCore, CandidatePairsAccountedAtAnyWorkerCount) {
+  struct RestoreLevel {
+    kernels::Level level = kernels::ActiveLevel();
+    ~RestoreLevel() { kernels::ForceLevel(level); }
+  } restore;
+  kernels::ForceLevel(kernels::BestSupportedLevel());
+  const bool simd = kernels::ActiveLevel() != kernels::Level::kScalar;
+
+  auto pts = RandomPoints<2>(4000, 12.0, 12);
+  auto cells = BuildGrid<2>(pts, 0.5);
+  const auto flags = MarkCore(cells, 6, RangeCountMethod::kScan);
+  const CoreIndex core = BuildCoreIndex(cells, flags);
+  size_t candidates = 0;  // Neighboring core-cell pairs, each once.
+  for (size_t g = 0; g < cells.num_cells(); ++g) {
+    if (!core.cell_is_core[g]) continue;
+    for (const uint32_t h : cells.neighbors(g)) {
+      if (h > g && core.cell_is_core[h]) ++candidates;
+    }
+  }
+  ASSERT_GT(candidates, 0u);
+  for (const int workers : {1, 4}) {
+    parallel::ScopedNumWorkers scoped(workers);
+    dbscan::PipelineStats stats;
+    containers::UnionFind uf(cells.num_cells());
+    dbscan::ClusterCore(cells, core, Options{}, uf, stats);
+    const size_t executed = stats.connectivity_queries.load();
+    EXPECT_EQ(stats.pruned_queries.load() + executed, candidates)
+        << workers << " workers";
+    EXPECT_GT(executed, 0u);
+    EXPECT_LE(stats.successful_queries.load(), executed);
+    if (simd) {
+      EXPECT_GT(stats.kernel_batches.load(), 0u) << workers << " workers";
+    }
+  }
+}
+
+// The serial first-appearance relabel Finalize replaces: points in original
+// order, each point's roots in ascending order, a root numbered when first
+// met; memberships are the ids, ascending, and a point's cluster the
+// smallest.
+template <int D>
+Clustering SerialRelabel(const CellStructure<D>& cells,
+                         const std::vector<uint8_t>& flags,
+                         const dbscan::PointRoots& roots) {
+  const size_t n = cells.num_points();
+  std::vector<std::vector<uint32_t>> by_orig(n);
+  Clustering out;
+  out.is_core.assign(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    by_orig[cells.orig_index[i]] = RootsOf(roots, i);
+    out.is_core[cells.orig_index[i]] = flags[i];
+  }
+  std::vector<int64_t> root_to_id(cells.num_cells(), -1);
+  out.cluster.assign(n, Clustering::kNoise);
+  out.membership_offsets.assign(n + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<int64_t> ids;
+    for (const uint32_t r : by_orig[i]) {
+      if (root_to_id[r] < 0) {
+        root_to_id[r] = static_cast<int64_t>(out.num_clusters++);
+      }
+      ids.push_back(root_to_id[r]);
+    }
+    std::sort(ids.begin(), ids.end());
+    if (!ids.empty()) out.cluster[i] = ids.front();
+    out.membership_ids.insert(out.membership_ids.end(), ids.begin(),
+                              ids.end());
+    out.membership_offsets[i + 1] = out.membership_ids.size();
+  }
+  return out;
+}
+
+void ExpectSameIds(const Clustering& got, const Clustering& want,
+                   const std::string& what) {
+  EXPECT_EQ(got.num_clusters, want.num_clusters) << what;
+  EXPECT_EQ(got.cluster, want.cluster) << what;
+  EXPECT_EQ(got.is_core, want.is_core) << what;
+  EXPECT_EQ(got.membership_offsets, want.membership_offsets) << what;
+  EXPECT_EQ(got.membership_ids, want.membership_ids) << what;
+}
+
+// Runs the query half stage by stage and checks Finalize's parallel
+// relabel against the serial one on the same roots.
+template <int D>
+Clustering FinalizeAgainstSerial(const std::vector<Point<D>>& pts,
+                                 double eps, size_t min_pts, bool core_only,
+                                 const std::string& what) {
+  auto cells = BuildGrid<D>(pts, eps);
+  const auto flags = MarkCore(cells, min_pts, RangeCountMethod::kScan);
+  const CoreIndex core = BuildCoreIndex(cells, flags);
+  dbscan::Workspace<D> ws;
+  ws.uf.Reset(cells.num_cells());
+  dbscan::PipelineStats stats;
+  dbscan::ClusterCore(cells, core, Options{}, ws.uf, stats);
+  dbscan::ClusterBorder(cells, flags, core, min_pts, core_only, ws.uf,
+                        ws.point_roots);
+  const Clustering got =
+      dbscan::internal::Finalize(cells, flags, ws.point_roots, ws);
+  ExpectSameIds(got, SerialRelabel(cells, flags, ws.point_roots), what);
+  return got;
+}
+
+TEST(Finalize, FirstAppearanceIdsAcrossWorkers) {
+  // eps 1, min_pts 4, all coordinates exact in binary. Input index 0 is a
+  // border point exactly eps from cluster A's last point and from cluster
+  // B's first, so it is the first point of both: the two roots tie on
+  // first index. Index 1 is noise; cluster C starts at index 2.
+  const std::vector<Point<2>> shared = {
+      Point<2>{{1.75, 0}},                                            // 0
+      Point<2>{{40, 40}},                                             // 1
+      Point<2>{{0, 10}},    Point<2>{{0.25, 10}}, Point<2>{{0.5, 10}},  // C
+      Point<2>{{0.75, 10}},
+      Point<2>{{0, 0}},     Point<2>{{0.25, 0}},  Point<2>{{0.5, 0}},   // A
+      Point<2>{{0.75, 0}},
+      Point<2>{{2.75, 0}},  Point<2>{{3, 0}},     Point<2>{{3.25, 0}},  // B
+      Point<2>{{3.5, 0}},
+      Point<2>{{-20, 5}}};                                            // 14
+  const double eps = 1.0;
+  const size_t min_pts = 4;
+  std::vector<Point<2>> all_noise;
+  for (int i = 0; i < 6; ++i) all_noise.push_back(Point<2>{{3.0 * i, 0}});
+  const std::vector<Point<2>> empty;
+  const auto brute =
+      dbscan::BruteForceDbscan<2>(std::span<const Point<2>>(shared), eps,
+                                  min_pts);
+
+  std::vector<Clustering> runs;
+  for (const int workers : {1, 4}) {
+    parallel::ScopedNumWorkers scoped(workers);
+    const std::string at = std::to_string(workers) + " workers";
+    const Clustering got =
+        FinalizeAgainstSerial(shared, eps, min_pts, false, "shared " + at);
+    EXPECT_TRUE(dbscan::SameClustering(got, brute)) << at;
+    ExpectSameIds(Dbscan<2>(shared, eps, min_pts), got, "Dbscan " + at);
+    ASSERT_EQ(got.num_clusters, 3u) << at;
+    // The tie: the shared border point is in clusters 0 and 1, so its
+    // primary cluster is 0; A and B take 0 and 1 in root order, and C,
+    // first met at index 2, is 2.
+    EXPECT_FALSE(got.is_core[0]) << at;
+    EXPECT_EQ(got.cluster[0], 0) << at;
+    EXPECT_EQ(std::vector<int64_t>(got.memberships(0).begin(),
+                                   got.memberships(0).end()),
+              (std::vector<int64_t>{0, 1}))
+        << at;
+    EXPECT_EQ(got.cluster[1], Clustering::kNoise) << at;
+    EXPECT_EQ(got.cluster[14], Clustering::kNoise) << at;
+    for (size_t i = 2; i < 6; ++i) EXPECT_EQ(got.cluster[i], 2) << at;
+    for (size_t i = 7; i < 10; ++i) {
+      EXPECT_EQ(got.cluster[i], got.cluster[6]) << at;
+    }
+    for (size_t i = 11; i < 14; ++i) {
+      EXPECT_EQ(got.cluster[i], got.cluster[10]) << at;
+    }
+    EXPECT_EQ(got.cluster[6] + got.cluster[10], 1) << at;
+    runs.push_back(got);
+
+    // DBSCAN*: the shared point is noise, so ids follow C, A, B.
+    const Clustering star =
+        FinalizeAgainstSerial(shared, eps, min_pts, true, "core_only " + at);
+    const std::vector<int64_t> star_ids = {-1, -1, 0, 0, 0, 0, 1, 1,
+                                           1,  1,  2, 2, 2, 2, -1};
+    EXPECT_EQ(star.cluster, star_ids) << at;
+    EXPECT_EQ(star.num_clusters, 3u) << at;
+    EXPECT_EQ(star.membership_offsets.back(), 12u) << at;
+
+    const Clustering noise =
+        FinalizeAgainstSerial(all_noise, eps, 2, false, "all-noise " + at);
+    EXPECT_EQ(noise.num_clusters, 0u) << at;
+    EXPECT_EQ(noise.cluster,
+              std::vector<int64_t>(all_noise.size(), Clustering::kNoise))
+        << at;
+    EXPECT_EQ(noise.membership_offsets,
+              std::vector<size_t>(all_noise.size() + 1, 0))
+        << at;
+
+    const Clustering none =
+        FinalizeAgainstSerial(empty, eps, min_pts, false, "empty " + at);
+    EXPECT_EQ(none.size(), 0u) << at;
+    EXPECT_EQ(none.num_clusters, 0u) << at;
+    EXPECT_EQ(none.membership_offsets, std::vector<size_t>{0}) << at;
+    EXPECT_TRUE(none.membership_ids.empty()) << at;
+
+    // Enough points for the relabel's loops to split across workers.
+    FinalizeAgainstSerial(RandomPoints<2>(20000, 60.0, 13), 0.6, 5, false,
+                          "random " + at);
+  }
+  ExpectSameIds(runs[1], runs[0], "4 workers vs 1");
 }
 
 TEST(Stats, BucketingReducesExecutedQueries) {
