@@ -259,6 +259,7 @@ TEST(GoldenCorpus, Chain2d) { CheckGoldenDataset<2>("chain_2d"); }
 TEST(GoldenCorpus, GridNoise2d) { CheckGoldenDataset<2>("grid_noise_2d"); }
 TEST(GoldenCorpus, ThreeLines2d) { CheckGoldenDataset<2>("three_lines_2d"); }
 TEST(GoldenCorpus, TwoBlobs3d) { CheckGoldenDataset<3>("two_blobs_3d"); }
+TEST(GoldenCorpus, TwoBlobs5d) { CheckGoldenDataset<5>("two_blobs_5d"); }
 
 TEST(GoldenCorpus, LabelsFileParserSkipsCommentsAndBlanks) {
   const std::string path = ::testing::TempDir() + "labels_parse_test.labels";
