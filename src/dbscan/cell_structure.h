@@ -168,24 +168,6 @@ struct CellStructure {
   }
 };
 
-// Flattens per-cell neighbor lists into the CSR arrays of `cells`: a scan
-// over the list sizes, then a parallel copy.
-template <int D>
-void FlattenNeighbors(const std::vector<std::vector<uint32_t>>& lists,
-                      CellStructure<D>& cells) {
-  const size_t num_cells = lists.size();
-  cells.nbr_offsets.assign(num_cells + 1, 0);
-  size_t* const offsets = cells.nbr_offsets.data();
-  parallel::parallel_for(0, num_cells,
-                         [&](size_t c) { offsets[c] = lists[c].size(); });
-  cells.nbrs.resize(primitives::ScanExclusive(
-      std::span<size_t>(offsets, num_cells + 1)));
-  uint32_t* const nbrs = cells.nbrs.data();
-  parallel::parallel_for(0, num_cells, [&](size_t c) {
-    std::copy(lists[c].begin(), lists[c].end(), nbrs + offsets[c]);
-  });
-}
-
 }  // namespace pdbscan::dbscan
 
 #endif  // PDBSCAN_DBSCAN_CELL_STRUCTURE_H_

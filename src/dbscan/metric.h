@@ -15,14 +15,15 @@
 // Grid geometry per metric (cells of side s, D dimensions):
 //   diameter(m) <= eps  requires  s = eps/sqrt(D) (L2), eps/D (L1), eps (Linf)
 // and the largest per-axis cell-coordinate delta two eps-close points can
-// have (the halo / neighbor-offset radius) is
+// have (the halo / neighbor-offset radius, AxisReach(m, D)) is
 //   1 + floor(sqrt(D)) (L2),  D + 1 (L1),  2 (Linf).
-// See dbscan/grid.h for the offset criterion per metric.
+// AxisCost below gives the cell-offset criterion per metric.
 #ifndef PDBSCAN_DBSCAN_METRIC_H_
 #define PDBSCAN_DBSCAN_METRIC_H_
 
-#include <cmath>
-#include <cstddef>
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 
 #include "dbscan/types.h"
 #include "geometry/point.h"
@@ -62,18 +63,39 @@ double BoxMinMeasure(const geometry::BBox<D>& box, const geometry::Point<D>& p,
   return box.MinSquaredDistance(p);
 }
 
-// Largest per-axis cell-coordinate delta between two cells that can hold
-// eps-close points (the seam-halo width and the neighbor-offset radius).
-template <int D>
-size_t MetricHalo(Metric m) {
-  switch (m) {
-    case Metric::kL2:
-      return 1 + static_cast<size_t>(std::floor(std::sqrt(
-                     static_cast<double>(D))));
-    case Metric::kL1: return static_cast<size_t>(D) + 1;
+// Two cells whose integer coordinates differ by delta can contain points
+// within epsilon of each other under `metric` iff
+//     sum_i AxisCost(metric, delta_i) <= D,
+// the exact integer criterion derived from the minimum box-to-box distance
+// (gap_i = max(0, |delta_i| - 1) cells of side s along axis i):
+//   L2   (s = eps/sqrt(D)):  sum_i gap_i^2 * s^2 <= eps^2  <=>  sum <= D
+//   L1   (s = eps/D):        sum_i gap_i  * s    <= eps    <=>  sum <= D
+//   Linf (s = eps):          max_i gap_i  * s    <= eps    <=>  all |delta_i| <= 2
+// AxisCost is only ever asked about |delta| <= AxisReach(metric, D), where
+// the Linf cost is 0.
+inline int64_t AxisCost(Metric metric, int64_t delta) {
+  const int64_t gap = std::max<int64_t>(0, std::abs(delta) - 1);
+  switch (metric) {
+    case Metric::kL2: return gap * gap;
+    case Metric::kL1: return gap;
+    case Metric::kLinf: return 0;
+  }
+  return gap * gap;
+}
+
+// The largest |delta| whose AxisCost fits in `budget` (AxisCost is monotone
+// in |delta|, so every |delta| up to it fits too).
+inline int64_t AxisReach(Metric metric, int64_t budget) {
+  switch (metric) {
+    case Metric::kL2: {
+      int64_t gap = 0;
+      while ((gap + 1) * (gap + 1) <= budget) ++gap;
+      return 1 + gap;
+    }
+    case Metric::kL1: return 1 + budget;
     case Metric::kLinf: return 2;
   }
-  return 1 + static_cast<size_t>(std::floor(std::sqrt(static_cast<double>(D))));
+  return 1;
 }
 
 // The count-within kernel for a metric (threshold parameter semantics match

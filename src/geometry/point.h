@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 
 #include "primitives/random.h"
 
@@ -193,14 +194,28 @@ BBox<D> ComputeBBox(const Point<D>* points, size_t n) {
   return box;
 }
 
+// The grid coordinate floor(offset / side) of a point `offset` past the
+// grid origin along one axis. Throws std::invalid_argument when it is not
+// finite or has magnitude 2^62 or more (a NaN point, or a tiny side over a
+// wide extent): the cast to int64_t would be undefined, and the bound
+// leaves the cell-neighbor walk's +-reach arithmetic room.
+inline int64_t CellCoordinate(double offset, double side) {
+  const double q = std::floor(offset / side);
+  if (!(std::abs(q) < 0x1p62)) {
+    throw std::invalid_argument(
+        "cell coordinate out of range: epsilon too small for the extent of "
+        "the points, or a coordinate is not finite");
+  }
+  return static_cast<int64_t>(q);
+}
+
 // The grid cell containing p, for a grid anchored at `origin` with cells of
-// side `side`.
+// side `side` (throws as CellCoordinate does).
 template <int D>
 CellCoords<D> CellOf(const Point<D>& p, const Point<D>& origin, double side) {
   CellCoords<D> c;
   for (int i = 0; i < D; ++i) {
-    c[static_cast<size_t>(i)] =
-        static_cast<int64_t>(std::floor((p[i] - origin[i]) / side));
+    c[static_cast<size_t>(i)] = CellCoordinate(p[i] - origin[i], side);
   }
   return c;
 }

@@ -23,8 +23,8 @@
 //
 // The seam halo is `halo` lattice columns wide: two cells can contain
 // points within epsilon of each other only when their integer coordinates
-// differ by at most 1 + floor(sqrt(d)) along every axis (grid.h's
-// OffsetWithinEpsilon criterion), so a cell whose axis coordinate is at
+// differ by at most 1 + floor(sqrt(d)) along every axis (metric.h's
+// AxisCost criterion), so a cell whose axis coordinate is at
 // least `halo` columns away from every interior cut has its entire
 // eps-neighborhood inside its own shard. Those are the *interior* cells;
 // the rest are *boundary* cells, and they are the only cells the merge
@@ -33,7 +33,6 @@
 #define PDBSCAN_SHARDING_SHARD_PLANNER_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -67,8 +66,8 @@ struct ShardPlan {
   // Seam half-width in lattice columns: cells within `halo` columns of an
   // interior cut can have eps-neighbors across it (the maximum per-axis
   // coordinate delta of eps-reachable cells under the planned metric —
-  // dbscan::MetricHalo: 1 + floor(sqrt(D)) for L2, D + 1 for L1, 2 for
-  // Linf).
+  // dbscan::AxisReach(metric, D): 1 + floor(sqrt(D)) for L2, D + 1 for L1,
+  // 2 for Linf).
   int64_t halo = 0;
 
   size_t num_shards() const { return cuts.empty() ? 0 : cuts.size() - 1; }
@@ -96,10 +95,10 @@ struct ShardPlan {
     return false;
   }
 
-  // Lattice column of a point along the split axis (the same floor
-  // arithmetic as geometry::CellOf, restricted to `axis`).
+  // Lattice column of a point along the split axis (geometry::CellOf,
+  // restricted to `axis`).
   int64_t ColumnOf(const geometry::Point<D>& p) const {
-    return static_cast<int64_t>(std::floor((p[axis] - origin[axis]) / side));
+    return geometry::CellCoordinate(p[axis] - origin[axis], side);
   }
 };
 
@@ -118,7 +117,7 @@ class ShardPlanner {
     }
     ShardPlan<D> plan;
     plan.side = dbscan::GridSide<D>(epsilon, metric);
-    plan.halo = static_cast<int64_t>(dbscan::MetricHalo<D>(metric));
+    plan.halo = dbscan::AxisReach(metric, D);
     if (points.empty()) {
       // Degenerate plan: one shard owning a single (pointless) column.
       for (int i = 0; i < D; ++i) plan.origin[i] = 0;
@@ -133,8 +132,8 @@ class ShardPlanner {
     int64_t best_columns = 0;
     for (int a = 0; a < D; ++a) {
       const int64_t columns =
-          1 + static_cast<int64_t>(std::floor(
-                  (plan.bounds.max[a] - plan.origin[a]) / plan.side));
+          1 + geometry::CellCoordinate(plan.bounds.max[a] - plan.origin[a],
+                                       plan.side);
       if (columns > best_columns) {
         best_columns = columns;
         plan.axis = a;

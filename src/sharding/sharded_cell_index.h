@@ -26,7 +26,8 @@
 //      recomposition.
 //   3. boundary merge: cross-seam adjacency is discovered among boundary
 //      cells only (ForEachNeighborAmong in grid.h — literally the same
-//      dispatch BuildGridAdjacency runs, restricted to the seam cells),
+//      row-sweep walk BuildGridAdjacency runs, for every dimension,
+//      restricted to the seam cells),
 //      and boundary cells are recounted against the now-complete merged
 //      adjacency. Merge work is proportional to the number of boundary
 //      cells, never the dataset: shard_boundary_cells / shard_seam_links /
@@ -356,14 +357,14 @@ class ShardedCellIndex {
     // cross-shard pair. cross[i] holds the cross-shard eps-neighbors of
     // boundary[i] as merged ids, sorted so the final layout is independent
     // of discovery order. One code path with the full builder:
-    // ForEachNeighborAmong is the same dispatch BuildGridAdjacency uses. --
+    // ForEachNeighborAmong is the same walk BuildGridAdjacency uses. ------
     std::vector<std::vector<uint32_t>> cross(boundary.size());
     {
       telemetry::TraceSpan span("shard_merge", seam.build_cells_seconds);
       if (!boundary.empty() && num_shards > 1) {
         dbscan::ForEachNeighborAmong<D>(
-            merged, std::span<const uint32_t>(boundary), plan_.origin,
-            plan_.side, [&](size_t i, size_t j) {
+            merged, std::span<const uint32_t>(boundary),
+            [&](size_t i, size_t j) {
               if (shard_of_cell[boundary[i]] != shard_of_cell[boundary[j]]) {
                 cross[i].push_back(boundary[j]);
               }

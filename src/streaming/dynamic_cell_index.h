@@ -239,7 +239,8 @@ class DynamicCellIndex {
   // snapshot. Returns the id assigned to inserts[0] (ids are consecutive:
   // inserts[k] gets return + k); ids are stable for the life of the point
   // and are what Erase takes. Throws std::invalid_argument on an unknown
-  // or duplicated erase id, in which case no state changes at all.
+  // or duplicated erase id, or on an insert whose cell coordinates are out
+  // of range (geometry::CellOf), in which case no state changes at all.
   // Writer-thread only.
   uint64_t ApplyUpdates(std::span<const geometry::Point<D>> inserts,
                         std::span<const uint64_t> erases) {
@@ -253,6 +254,11 @@ class DynamicCellIndex {
       if (cell_of_id_.find(id) == cell_of_id_.end()) {
         throw std::invalid_argument("erase of unknown point id");
       }
+    }
+    // The inserts' cells, computed (and so range-checked) up front too.
+    std::vector<geometry::CellCoords<D>> insert_cells(inserts.size());
+    for (size_t k = 0; k < inserts.size(); ++k) {
+      insert_cells[k] = geometry::CellOf<D>(inserts[k], origin_, side_);
     }
 
     // WAL: the batch is durable (to the attached journal's fsync policy)
@@ -281,13 +287,12 @@ class DynamicCellIndex {
 
     // Inserts: append to (possibly fresh) buckets.
     const uint64_t first_id = next_id_;
-    for (const geometry::Point<D>& p : inserts) {
+    for (size_t k = 0; k < inserts.size(); ++k) {
       const uint64_t id = next_id_++;
-      const geometry::CellCoords<D> coords =
-          geometry::CellOf<D>(p, origin_, side_);
+      const geometry::CellCoords<D>& coords = insert_cells[k];
       Bucket& bucket = buckets_[coords];
       bucket.ids.push_back(id);
-      bucket.pts.push_back(p);
+      bucket.pts.push_back(inserts[k]);
       cell_of_id_.emplace(id, coords);
       dirty.insert(coords);
     }
@@ -436,7 +441,7 @@ class DynamicCellIndex {
               geometry::CellBBox<D>(cell_order_[c], origin_, side_);
         },
         1);
-    dbscan::BuildGridAdjacency(cells, origin_, side_);
+    dbscan::BuildGridAdjacency(cells);
     // Lanes for the recomposed points: the recount below and every query on
     // the published snapshot run through the SIMD distance kernels.
     cells.BuildSoALanes();

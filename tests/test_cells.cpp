@@ -1,7 +1,7 @@
 // Tests for cell construction: grid (Section 4.1) and 2D boxes (Section 4.2).
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <cstdlib>
 #include <numeric>
 #include <random>
 #include <set>
@@ -108,7 +108,7 @@ TEST(Grid, Invariants3d) {
   CheckCellInvariants(cells, pts, 2.0);
 }
 
-TEST(Grid, Invariants5dUsesKdTreeNeighbors) {
+TEST(Grid, Invariants5d) {
   auto pts = RandomPoints<5>(400, 6.0, 3);
   auto cells = dbscan::BuildGrid<5>(pts, 2.5);
   CheckCellInvariants(cells, pts, 2.5);
@@ -178,29 +178,74 @@ TEST(Grid, DeterministicAcrossWorkerCounts) {
 // --- Exact-order adjacency ----------------------------------------------------
 //
 // The CSR neighbor lists are part of the adjacency contract down to their
-// order: each cell lists its neighbors in the odometer order of
-// NeighborOffsets<D>. The reference below walks that table per cell and
-// looks every probe up in an ordered map; the builder must match it
-// exactly, not only as a set.
+// order: each cell lists its neighbors in ascending lexicographic order of
+// their coordinates, for every D. The reference below shares no code with
+// the builder: it tests cell pairs against its own copy of the integer
+// criterion and sorts each list; the builder must match it exactly, not
+// only as a set.
 
 template <int D>
 using CoordsList = std::vector<geometry::CellCoords<D>>;
 
-// Neighbor positions (into `coords`) of every position, in odometer order.
+// The largest per-axis |delta| the criterion admits.
+template <int D>
+int64_t ReferenceReach(Metric metric) {
+  switch (metric) {
+    case Metric::kL2: {
+      int64_t g = 0;
+      while ((g + 1) * (g + 1) <= D) ++g;
+      return 1 + g;
+    }
+    case Metric::kL1: return D + 1;
+    case Metric::kLinf: return 2;
+  }
+  return 0;
+}
+
+// Cells at coordinate offset a - b can hold eps-close points: the sum over
+// axes of gap^2 (L2) or gap (L1), gap = max(0, |delta| - 1), is at most D;
+// under Linf every |delta| is at most 2.
+template <int D>
+bool ReferenceWithinEpsilon(const geometry::CellCoords<D>& a,
+                            const geometry::CellCoords<D>& b, Metric metric) {
+  int64_t sum = 0;
+  for (int i = 0; i < D; ++i) {
+    const int64_t gap = std::max<int64_t>(0, std::abs(a[i] - b[i]) - 1);
+    if (gap > ReferenceReach<D>(metric) - 1) return false;
+    if (metric == Metric::kL2) sum += gap * gap;
+    if (metric == Metric::kL1) sum += gap;
+  }
+  return sum <= D;
+}
+
+// Neighbor positions (into `coords`) of every position, each list sorted by
+// the neighbors' coordinates. Pairs are only tested within a window of the
+// coordinate sum, which no neighbor can leave: |sum of delta| <= D * reach.
 template <int D>
 std::vector<std::vector<size_t>> ReferenceNeighbors(const CoordsList<D>& coords,
                                                     Metric metric) {
-  std::map<geometry::CellCoords<D>, size_t> position;
-  for (size_t i = 0; i < coords.size(); ++i) position[coords[i]] = i;
-  const auto offsets = dbscan::internal::NeighborOffsets<D>(metric);
+  const auto sum = [&](size_t i) {
+    return std::accumulate(coords[i].begin(), coords[i].end(), int64_t{0});
+  };
+  std::vector<size_t> by_sum(coords.size());
+  std::iota(by_sum.begin(), by_sum.end(), size_t{0});
+  std::sort(by_sum.begin(), by_sum.end(),
+            [&](size_t x, size_t y) { return sum(x) < sum(y); });
+  const int64_t window = D * ReferenceReach<D>(metric);
   std::vector<std::vector<size_t>> out(coords.size());
   for (size_t i = 0; i < coords.size(); ++i) {
-    for (const auto& delta : offsets) {
-      geometry::CellCoords<D> probe = coords[i];
-      for (int a = 0; a < D; ++a) probe[a] += delta[a];
-      const auto it = position.find(probe);
-      if (it != position.end()) out[i].push_back(it->second);
+    const auto first = std::partition_point(
+        by_sum.begin(), by_sum.end(),
+        [&](size_t j) { return sum(j) < sum(i) - window; });
+    for (auto it = first; it != by_sum.end() && sum(*it) <= sum(i) + window;
+         ++it) {
+      if (*it != i && ReferenceWithinEpsilon<D>(coords[i], coords[*it],
+                                                metric)) {
+        out[i].push_back(*it);
+      }
     }
+    std::sort(out[i].begin(), out[i].end(),
+              [&](size_t x, size_t y) { return coords[x] < coords[y]; });
   }
   return out;
 }
@@ -219,18 +264,27 @@ CellStructure<D> CoordsOnlyStructure(const CoordsList<D>& coords,
 }
 
 template <int D>
-void ExpectCsrMatchesReference(const CellStructure<D>& cells,
-                               const std::string& what) {
-  CoordsList<D> coords(cells.coords.begin(), cells.coords.end());
-  const auto expected = ReferenceNeighbors<D>(coords, cells.metric);
-  ASSERT_EQ(cells.nbr_offsets.size(), coords.size() + 1) << what;
+void ExpectCsrMatches(const CellStructure<D>& cells,
+                      const std::vector<std::vector<size_t>>& expected,
+                      const std::string& what) {
+  const size_t num_cells = cells.coords.size();
+  ASSERT_EQ(expected.size(), num_cells) << what;
+  ASSERT_EQ(cells.nbr_offsets.size(), num_cells + 1) << what;
   EXPECT_EQ(cells.nbr_offsets[0], 0u) << what;
-  for (size_t c = 0; c < coords.size(); ++c) {
+  for (size_t c = 0; c < num_cells; ++c) {
     const auto got = cells.neighbors(c);
     ASSERT_EQ(std::vector<size_t>(got.begin(), got.end()), expected[c])
         << what << ": cell " << c;
   }
-  EXPECT_EQ(cells.nbrs.size(), cells.nbr_offsets[coords.size()]) << what;
+  EXPECT_EQ(cells.nbrs.size(), cells.nbr_offsets[num_cells]) << what;
+}
+
+template <int D>
+void ExpectCsrMatchesReference(const CellStructure<D>& cells,
+                               const std::string& what) {
+  const CoordsList<D> coords(cells.coords.begin(), cells.coords.end());
+  ExpectCsrMatches<D>(cells, ReferenceNeighbors<D>(coords, cells.metric),
+                      what);
 }
 
 // Distinct random cell coordinates: `count` draws from [base - span,
@@ -283,29 +337,37 @@ CoordsList<D> OneRowPerCellCoords(size_t count, uint64_t seed) {
 constexpr Metric kAllMetrics[] = {
     Metric::kL2, Metric::kL1, Metric::kLinf};
 
+// Shapes for D >= 4 stay near 2k cells or fewer, with denser spans, so the
+// reference stays fast and cells still have many neighbors.
 template <int D>
 void CheckExactOrderAdjacency() {
   constexpr int64_t kFar = int64_t{1} << 40;
+  constexpr bool kLow = D <= 3;
   const std::vector<std::pair<std::string, CoordsList<D>>> shapes = {
       {"empty", {}},
       {"single", {geometry::CellCoords<D>{}}},
-      {"dense", RandomCoords<D>(3000, 0, 9, 101 + D)},
-      {"sparse", RandomCoords<D>(2000, 0, 60, 202 + D)},
-      {"one_row", OneRowCoords<D>(10000, 303 + D)},
+      {"dense", RandomCoords<D>(kLow ? 3000 : 1500, 0, kLow ? 9 : 2, 101 + D)},
+      {"sparse",
+       RandomCoords<D>(kLow ? 2000 : 1500, 0, kLow ? 60 : 6, 202 + D)},
+      {"one_row", OneRowCoords<D>(kLow ? 10000 : 2000, 303 + D)},
       {"one_row_per_cell", OneRowPerCellCoords<D>(400, 404 + D)},
-      {"near_plus_2^40", RandomCoords<D>(1500, kFar, 8, 505 + D)},
-      {"near_minus_2^40", RandomCoords<D>(1500, -kFar, 8, 606 + D)},
+      {"near_plus_2^40", RandomCoords<D>(kLow ? 1500 : 800, kFar, kLow ? 8 : 3,
+                                         505 + D)},
+      {"near_minus_2^40", RandomCoords<D>(kLow ? 1500 : 800, -kFar,
+                                          kLow ? 8 : 3, 606 + D)},
   };
-  for (const int workers : {1, 4}) {
-    parallel::ScopedNumWorkers scoped(workers);
-    for (const Metric metric : kAllMetrics) {
-      for (const auto& [name, coords] : shapes) {
+  for (const Metric metric : kAllMetrics) {
+    for (const auto& [name, coords] : shapes) {
+      const auto expected = ReferenceNeighbors<D>(coords, metric);
+      for (const int workers : {1, 4}) {
+        parallel::ScopedNumWorkers scoped(workers);
         auto cells = CoordsOnlyStructure<D>(coords, metric);
-        dbscan::BuildGridAdjacency<D>(cells, Point<D>{}, 1.0);
-        ExpectCsrMatchesReference<D>(
-            cells, "D=" + std::to_string(D) + " " + name + " metric=" +
-                       std::to_string(static_cast<int>(metric)) +
-                       " P=" + std::to_string(workers));
+        dbscan::BuildGridAdjacency<D>(cells);
+        ExpectCsrMatches<D>(
+            cells, expected,
+            "D=" + std::to_string(D) + " " + name + " metric=" +
+                std::to_string(static_cast<int>(metric)) +
+                " P=" + std::to_string(workers));
       }
     }
   }
@@ -314,6 +376,10 @@ void CheckExactOrderAdjacency() {
 TEST(GridAdjacency, ExactOdometerOrder1d) { CheckExactOrderAdjacency<1>(); }
 TEST(GridAdjacency, ExactOdometerOrder2d) { CheckExactOrderAdjacency<2>(); }
 TEST(GridAdjacency, ExactOdometerOrder3d) { CheckExactOrderAdjacency<3>(); }
+TEST(GridAdjacency, ExactOdometerOrder4d) { CheckExactOrderAdjacency<4>(); }
+TEST(GridAdjacency, ExactOdometerOrder5d) { CheckExactOrderAdjacency<5>(); }
+TEST(GridAdjacency, ExactOdometerOrder6d) { CheckExactOrderAdjacency<6>(); }
+TEST(GridAdjacency, ExactOdometerOrder7d) { CheckExactOrderAdjacency<7>(); }
 
 // The same contract through the full builder: random points, every metric.
 TEST(GridAdjacency, BuildGridMatchesReference) {
@@ -350,10 +416,12 @@ TEST(GridAdjacency, HugeExtentTinyEpsilon) {
 }
 
 // A subset of the cells, as the sharded seam merge passes: positions into
-// the subset, each position's emissions in odometer order.
+// the subset, each position's emissions in ascending coordinate order.
 template <int D>
 void CheckSubsetEmission(Metric metric) {
-  const auto coords = RandomCoords<D>(2500, 0, 10, 707 + D);
+  const auto coords =
+      D <= 3 ? RandomCoords<D>(2500, 0, 10, 707 + D)
+             : RandomCoords<D>(2000, 0, 3, 707 + D);
   const auto cells = CoordsOnlyStructure<D>(coords, metric);
   std::mt19937_64 rng(808 + D);
   std::vector<uint32_t> ids;
@@ -369,7 +437,7 @@ void CheckSubsetEmission(Metric metric) {
     parallel::ScopedNumWorkers scoped(workers);
     std::vector<std::vector<size_t>> got(ids.size());
     dbscan::ForEachNeighborAmong<D>(
-        cells, std::span<const uint32_t>(ids), Point<D>{}, 1.0,
+        cells, std::span<const uint32_t>(ids),
         [&](size_t i, size_t j) { got[i].push_back(j); });
     EXPECT_EQ(got, expected) << "D=" << D << " P=" << workers;
   }
@@ -380,12 +448,15 @@ TEST(GridAdjacency, SubsetThroughForEachNeighborAmong) {
     CheckSubsetEmission<1>(metric);
     CheckSubsetEmission<2>(metric);
     CheckSubsetEmission<3>(metric);
+    CheckSubsetEmission<4>(metric);
+    CheckSubsetEmission<5>(metric);
+    CheckSubsetEmission<6>(metric);
+    CheckSubsetEmission<7>(metric);
   }
   // No candidates, no calls.
   const auto cells = CoordsOnlyStructure<2>({}, Metric::kL2);
   size_t calls = 0;
   dbscan::ForEachNeighborAmong<2>(cells, std::span<const uint32_t>(),
-                                  Point<2>{}, 1.0,
                                   [&](size_t, size_t) { ++calls; });
   EXPECT_EQ(calls, 0u);
 }

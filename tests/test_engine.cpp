@@ -222,6 +222,43 @@ TEST(EngineValidation, NanEpsilonThrowsOnEverySurface) {
             1u);
 }
 
+// A tiny epsilon over a wide extent puts cell coordinates past 2^62 (and a
+// NaN coordinate has none): every build surface must reject the points
+// rather than cast them into one cell and merge far-apart points.
+TEST(EngineValidation, OutOfRangeCellCoordinatesThrowOnEverySurface) {
+  const std::vector<Point<2>> wide = {
+      Point<2>{{0, 0}}, Point<2>{{100000, 0}}, Point<2>{{200000, 0}}};
+  const double tiny = 1e-14;
+  EXPECT_THROW(Dbscan<2>(wide, tiny, 2), std::invalid_argument);
+  EXPECT_THROW(CellIndex<2>::Build(wide, tiny, 2), std::invalid_argument);
+  DbscanEngine<2> engine;
+  engine.SetPoints(wide);
+  EXPECT_THROW(engine.Run(tiny, 2), std::invalid_argument);
+  EXPECT_THROW(engine.Sweep(tiny, {2}), std::invalid_argument);
+  EXPECT_THROW(ShardedCellIndex<2>(wide, tiny, 2, 2), std::invalid_argument);
+  // In range, the three points are what they are: noise.
+  const Clustering fine = Dbscan<2>(wide, 1e-9, 2);
+  EXPECT_EQ(fine.cluster, (std::vector<int64_t>{-1, -1, -1}));
+  std::vector<Point<2>> with_nan = wide;
+  with_nan[1][1] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Dbscan<2>(with_nan, 1.0, 2), std::invalid_argument);
+
+  // The streaming writer rejects the batch before journaling or mutating
+  // anything, erases included: the published snapshot stays as it was.
+  StreamingClusterer<2> stream(tiny, 2);
+  const std::vector<Point<2>> origin = {Point<2>{{0, 0}}};
+  const uint64_t id = stream.Insert(origin);
+  const auto before = stream.snapshot();
+  const uint64_t generation = stream.generation();
+  const std::vector<uint64_t> erase = {id};
+  EXPECT_THROW(stream.ApplyUpdates(wide, erase), std::invalid_argument);
+  EXPECT_EQ(stream.snapshot(), before);
+  EXPECT_EQ(stream.generation(), generation);
+  EXPECT_EQ(stream.num_points(), 1u);
+  EXPECT_EQ(stream.LiveIds(), erase);
+  EXPECT_EQ(stream.Run(1).cluster, (std::vector<int64_t>{0}));
+}
+
 TEST(EngineEdge, EmptyAndSweepOfOne) {
   DbscanEngine<2> engine;
   engine.SetPoints(std::vector<Point<2>>{});

@@ -254,7 +254,7 @@ TEST(ShardedDbscan, HigherDimensions) {
     ExpectShardedIdentical<3>(pts, 2.0, 16, 4, 6, "3d");
   }
   {
-    // d = 5 exercises the k-d-tree cross-seam discovery path (d > 3).
+    // d = 5 runs the cross-seam discovery walk over four prefix axes.
     const auto pts = BlobPoints<5>(400, 3, 12.0, 0.9, 53);
     ExpectShardedIdentical<5>(pts, 4.0, 16, 3, 5, "5d");
   }
