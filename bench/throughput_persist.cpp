@@ -101,7 +101,7 @@ int main() {
     const double load_seconds = timer.Seconds();
     QueryContext<2> ctx;
     const bool identical =
-        Identical(reference, ctx.Run(loaded, min_pts));
+        Identical(reference, ctx.Run(*loaded, min_pts));
     all_identical = all_identical && identical;
     table.AddRow({name, util::BenchTable::Num(load_seconds),
                   util::BenchTable::Num(file_mb, 5),
@@ -122,9 +122,9 @@ int main() {
     const Clustering want = live_ctx.Run(*live, m);
     QueryContext<2> co, cm;
     const bool owned_ok =
-        Identical(want, co.Run(loaded_owned, m));
+        Identical(want, co.Run(*loaded_owned, m));
     const bool mapped_ok =
-        Identical(want, cm.Run(loaded_mapped, m));
+        Identical(want, cm.Run(*loaded_mapped, m));
     all_identical = all_identical && owned_ok && mapped_ok;
     sweep_table.AddRow({std::to_string(m), owned_ok ? "yes" : "NO",
                         mapped_ok ? "yes" : "NO"});

@@ -87,7 +87,7 @@ int main() {
 
     timer.Reset();
     dbscan::QueryContext<2> ctx;
-    const Clustering got = ctx.Run(sharded.index(), min_pts);
+    const Clustering got = ctx.Run(*sharded.index(), min_pts);
     const double query_seconds = timer.Seconds();
     const bool identical =
         reference.num_clusters == got.num_clusters &&

@@ -408,7 +408,7 @@ int main(int argc, char** argv) {
                                                              : "owned");
         pdbscan::util::Timer run_timer;
         pdbscan::QueryContext<D> ctx;
-        const pdbscan::Clustering result = ctx.Run(index, minpts);
+        const pdbscan::Clustering result = ctx.Run(*index, minpts);
         PrintSummary(result, "loaded-index", run_timer.Seconds());
         const int quality_rc = EmitQuality(result, quality_path);
         if (quality_rc != 0) return quality_rc;
@@ -453,7 +453,7 @@ int main(int argc, char** argv) {
                          pdbscan::persist::FileBytes(save_index)) /
                          (1024.0 * 1024.0));
         pdbscan::QueryContext<D> ctx;
-        return ctx.Run(index, minpts);
+        return ctx.Run(*index, minpts);
       });
     } else {
       {

@@ -18,7 +18,8 @@
 // is const and no call mutates it — so sharing needs no synchronization.
 // Queries with min_pts <= counts_cap() are answered entirely from the
 // shared counts; larger min_pts values stay correct by recounting into the
-// context's private workspace (counts_built ticks in the context's stats).
+// context's private workspace on every call (counts_built ticks in the
+// context's stats), so serve with a cap at least the largest min_pts.
 // Either way the clustering is bit-identical to a one-shot pdbscan::Dbscan
 // call: every query surface executes RunQueryFromCounts (query.h), and
 // saturated counts threshold identically for every min_pts <= their cap.
@@ -273,30 +274,34 @@ class QueryContext {
 
   // Clusters the index's point set at `min_pts`. Bit-identical to a
   // one-shot pdbscan::Dbscan call with (index points, index epsilon,
-  // min_pts, index options). The shared_ptr overload additionally caches
-  // an over-cap recount across calls (see EnsureCounts).
+  // min_pts, index options).
   Clustering Run(const CellIndex<D>& index, size_t min_pts) {
-    return RunImpl(index, min_pts, nullptr);
-  }
-
-  Clustering Run(const std::shared_ptr<const CellIndex<D>>& index,
-                 size_t min_pts) {
-    if (!index) throw std::invalid_argument("QueryContext needs an index");
-    return RunImpl(*index, min_pts, &index);
+    if (min_pts == 0) throw std::invalid_argument("min_pts must be positive");
+    return RunQueryFromCounts(index.cells(), CountsFor(index, min_pts),
+                              min_pts, index.options(), ws_, *stats_);
   }
 
   // Answers every setting of a min_pts sweep. Settings within the index's
   // cap share the index counts; if any setting exceeds the cap, one private
-  // recount at cap = max(list) serves the whole sweep.
+  // recount at cap = max(list) serves the whole sweep. DbscanEngine::Sweep
+  // and EnginePool::Sweep both come through here, so sweep validation and
+  // cap policy cannot diverge.
   std::vector<Clustering> Sweep(const CellIndex<D>& index,
                                 std::span<const size_t> minpts_list) {
-    return SweepImpl(index, minpts_list, nullptr);
-  }
-
-  std::vector<Clustering> Sweep(const std::shared_ptr<const CellIndex<D>>& index,
-                                std::span<const size_t> minpts_list) {
-    if (!index) throw std::invalid_argument("QueryContext needs an index");
-    return SweepImpl(*index, minpts_list, &index);
+    std::vector<Clustering> out;
+    out.reserve(minpts_list.size());
+    if (minpts_list.empty()) return out;
+    size_t cap = 0;
+    for (const size_t m : minpts_list) {
+      if (m == 0) throw std::invalid_argument("min_pts must be positive");
+      cap = std::max(cap, m);
+    }
+    const std::span<const uint32_t> counts = CountsFor(index, cap);
+    for (const size_t m : minpts_list) {
+      out.push_back(RunQueryFromCounts(index.cells(), counts, m,
+                                       index.options(), ws_, *stats_));
+    }
+    return out;
   }
 
   std::vector<Clustering> Sweep(const CellIndex<D>& index,
@@ -307,84 +312,25 @@ class QueryContext {
 
   PipelineStats& stats() { return *stats_; }
 
-  // Drops the over-cap recount cache unless it belongs to `index`. Owners
-  // that swap indexes under contexts call this for every free context on
-  // the swap itself (EnginePool::ReplaceIndex) and for the leased context
-  // on each lease, so retired snapshots are pinned only by in-flight
-  // queries, never indefinitely by idle caches; harmless no-op when the
-  // cache is empty or current.
-  void EvictStaleCountsCache(
-      const std::shared_ptr<const CellIndex<D>>& index) {
-    if (cached_index_ != nullptr && cached_index_ != index) {
-      cached_index_.reset();
-      cached_cap_ = 0;
-    }
-  }
-
  private:
-  Clustering RunImpl(const CellIndex<D>& index, size_t min_pts,
-                     const std::shared_ptr<const CellIndex<D>>* owner) {
-    if (min_pts == 0) throw std::invalid_argument("min_pts must be positive");
-    const std::span<const uint32_t> counts =
-        EnsureCounts(index, min_pts, owner);
-    return RunQueryFromCounts(index.cells(), counts, min_pts, index.options(),
-                              ws_, *stats_);
-  }
-
-  std::vector<Clustering> SweepImpl(
-      const CellIndex<D>& index, std::span<const size_t> minpts_list,
-      const std::shared_ptr<const CellIndex<D>>* owner) {
-    return SweepFromCounts<D>(
-        minpts_list, index.options(), ws_, *stats_,
-        [&](size_t cap)
-            -> std::pair<const CellStructure<D>&, std::span<const uint32_t>> {
-          return {index.cells(), EnsureCounts(index, cap, owner)};
-        });
-  }
-
-  // Counts valid for caps up to `cap`: the index's shared counts when they
-  // suffice, else the context's cached private recount, else a fresh
-  // MarkCore pass (counts_built ticks; the other two tick counts_reused).
-  // The private cache is keyed on index identity, which is only sound
-  // because cached_index_ *pins* the cached index alive — its address can
-  // neither dangle nor be recycled while the cache entry exists. Callers
-  // going through the plain-reference overloads can therefore still *hit*
-  // the cache, but only shared_ptr callers (`owner` != nullptr, e.g.
-  // EnginePool) can populate it, so steady over-cap traffic through a pool
-  // recounts once per context rather than once per query.
-  std::span<const uint32_t> EnsureCounts(
-      const CellIndex<D>& index, size_t cap,
-      const std::shared_ptr<const CellIndex<D>>* owner) {
+  // Counts valid for every min_pts up to `cap`: the index's shared counts
+  // when they suffice (counts_reused ticks), else a fresh MarkCore pass into
+  // the workspace (counts_built ticks). The recount is not kept across
+  // calls: serve with counts_cap >= the largest min_pts to avoid it.
+  std::span<const uint32_t> CountsFor(const CellIndex<D>& index, size_t cap) {
     if (cap <= index.counts_cap()) {
       stats_->counts_reused.fetch_add(1, std::memory_order_relaxed);
       return index.neighbor_counts();
     }
-    if (cached_index_.get() == &index && cached_cap_ >= cap) {
-      stats_->counts_reused.fetch_add(1, std::memory_order_relaxed);
-      return ws_.neighbor_counts;
-    }
     telemetry::TraceSpan span("mark_core_counts", stats_->mark_core_seconds);
     MarkCoreCounts(index.cells(), cap, index.options().range_count,
                    &index.quadtrees(), ws_.neighbor_counts, stats_);
-    if (owner != nullptr) {
-      cached_index_ = *owner;
-      cached_cap_ = cap;
-    } else {
-      // The workspace counts no longer match the cached index's.
-      cached_index_.reset();
-      cached_cap_ = 0;
-    }
     stats_->counts_built.fetch_add(1, std::memory_order_relaxed);
     return ws_.neighbor_counts;
   }
 
   Workspace<D> ws_;
   PipelineStats* stats_;
-
-  // Over-cap recount cache: the index (kept alive) whose counts currently
-  // occupy ws_.neighbor_counts, and the cap they were computed with.
-  std::shared_ptr<const CellIndex<D>> cached_index_;
-  size_t cached_cap_ = 0;
 };
 
 }  // namespace pdbscan::dbscan

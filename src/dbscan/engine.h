@@ -10,8 +10,8 @@
 //     fixed epsilon reuse it outright (cells_reused ticks);
 //   * the saturated counts answer every min_pts up to the cap the index was
 //     built with — Run builds at cap = min_pts, Sweep at cap = max(list) —
-//     and a larger min_pts at the same epsilon is recounted once into the
-//     context's private over-cap cache, which then serves later queries;
+//     and a larger min_pts at the same epsilon is recounted into the
+//     context's workspace on every such call (the index is not rebuilt);
 //   * epsilon changes reuse the epsilon-independent layout (dataset bounds
 //     for the grid, the x-sorted order for 2D boxes; see CellLayout) plus
 //     every workspace allocation of the context.
@@ -147,29 +147,22 @@ class DbscanEngine {
   void AdoptPoints(std::span<const geometry::Point<D>> points) {
     points_ = points;
     layout_ = CellLayout<D>();
-    DropIndex();
-  }
-
-  // Releases the cached index, and the context's over-cap recount pinned to
-  // it, so the next build does not hold two indexes at once.
-  void DropIndex() {
     index_.reset();
-    ctx_.EvictStaleCountsCache(index_);
   }
 
   // The cached index when it was built for `epsilon`, else a fresh one at
-  // counts cap `cap` over the cached layout.
-  const std::shared_ptr<const CellIndex<D>>& IndexFor(double epsilon,
-                                                      size_t cap) {
+  // counts cap `cap` over the cached layout. The old index is released
+  // first, so a rebuild never holds two indexes at once.
+  const CellIndex<D>& IndexFor(double epsilon, size_t cap) {
     ValidateEpsilon(epsilon);
     if (has_cells_for(epsilon)) {
       stats_->cells_reused.fetch_add(1, std::memory_order_relaxed);
-      return index_;
+      return *index_;
     }
-    DropIndex();
-    index_ = std::make_shared<const CellIndex<D>>(points_, epsilon, cap,
+    index_.reset();
+    index_ = std::make_unique<const CellIndex<D>>(points_, epsilon, cap,
                                                   options_, stats_, &layout_);
-    return index_;
+    return *index_;
   }
 
   Options options_;
@@ -179,7 +172,7 @@ class DbscanEngine {
   std::vector<geometry::Point<D>> owned_points_;
   std::span<const geometry::Point<D>> points_;
   CellLayout<D> layout_;
-  std::shared_ptr<const CellIndex<D>> index_;
+  std::unique_ptr<const CellIndex<D>> index_;
   QueryContext<D> ctx_;
 };
 

@@ -22,8 +22,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "dbscan/cell_structure.h"
@@ -187,35 +185,6 @@ Clustering RunQueryFromCounts(const CellStructure<D>& cells,
 
   telemetry::TraceSpan span("finalize", stats.finalize_seconds);
   return internal::Finalize(cells, ws.core_flags, ws.point_roots, ws);
-}
-
-// Shared min_pts-sweep driver: rejects zero settings, computes cap =
-// max(list), obtains (cells, counts valid up to cap) once from
-// `provide(cap)`, then answers every setting via RunQueryFromCounts.
-// QueryContext::Sweep (shared-index or private counts) wraps this, and
-// DbscanEngine::Sweep and EnginePool::Sweep go through QueryContext, so
-// sweep validation and cap policy cannot diverge.
-template <int D, typename Provider>
-std::vector<Clustering> SweepFromCounts(std::span<const size_t> minpts_list,
-                                        const Options& options,
-                                        Workspace<D>& ws,
-                                        PipelineStats& stats,
-                                        Provider&& provide) {
-  std::vector<Clustering> out;
-  out.reserve(minpts_list.size());
-  if (minpts_list.empty()) return out;
-  size_t cap = 0;
-  for (const size_t m : minpts_list) {
-    if (m == 0) throw std::invalid_argument("min_pts must be positive");
-    cap = std::max(cap, m);
-  }
-  const std::pair<const CellStructure<D>&, std::span<const uint32_t>> cc =
-      provide(cap);
-  for (const size_t m : minpts_list) {
-    out.push_back(RunQueryFromCounts(cc.first, cc.second, m, options, ws,
-                                     stats));
-  }
-  return out;
 }
 
 }  // namespace pdbscan::dbscan

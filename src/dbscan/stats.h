@@ -50,9 +50,9 @@ namespace pdbscan::dbscan {
 //   successful_queries: queries that returned "connected".
 // * cells_built / cells_reused: cell structures built from scratch vs.
 //   served from a DbscanEngine's cached index; counts_built /
-//   counts_reused: MarkCore neighbor-count passes run vs. queries served
-//   from existing counts (an index's shared counts or a context's over-cap
-//   recount).
+//   counts_reused: MarkCore neighbor-count passes run (an index build, or
+//   a context's recount for every query above the index's cap) vs. queries
+//   served from an index's shared counts.
 // * Streaming (DynamicCellIndex) incremental maintenance: per snapshot,
 //   cells whose contents or eps-neighborhood changed get their points
 //   re-grouped and their MarkCore counts recomputed (cells_rebuilt); every
@@ -76,23 +76,19 @@ namespace pdbscan::dbscan {
 //   bench/throughput_persist.cpp reports all of them.
 // * Serving scheduler (parallel/serving_scheduler.h) admission accounting.
 //   requests_admitted counts submits that entered the queue (or were
-//   cache-served at admission); requests_rejected counts requests resolved
-//   kRejected under overload — the refused newcomer under kRejectNew
-//   (never admitted), or the evicted oldest under kDropOldest (admitted
-//   earlier, so that policy ticks BOTH counters for the victim). Under a
-//   quiescent scheduler with kRejectNew
+//   cache-served at admission); requests_rejected counts newcomers refused
+//   by a full queue (never admitted). Under a quiescent scheduler
 //     requests_admitted + requests_rejected == total submits,
-//   and under either policy every submit resolves exactly once
+//   and every submit resolves exactly once
 //   (kOk + kRejected + kTimedOut + kShutdown == total submits).
-//   requests_timed_out counts deadline expiries (queued or mid-execution)
-//   plus lease-deadline expiries of the legacy EnginePool Run/Sweep
-//   surfaces; requests_coalesced counts requests that shared a batched
+//   requests_timed_out counts deadline expiries (queued or
+//   mid-execution); requests_coalesced counts requests that shared a batched
 //   execution with an earlier one (batch of k -> k-1 coalesced);
 //   cache_hits / cache_misses count admission-time result-cache lookups
 //   (zero while the cache is disabled), so with the cache on
 //     cache_hits + cache_misses == total submits reaching admission
-//   (every submit except those refused after shutdown; under kRejectNew
-//   that sum equals requests_admitted + requests_rejected).
+//   (every submit except those refused after shutdown; that sum equals
+//   requests_admitted + requests_rejected).
 //   queue_depth_peak is the deepest the admission queue ever got.
 // * Distance-kernel layer (src/kernels/): SIMD batches executed, and points
 //   whose exact distance was never computed because a whole cell was pruned

@@ -55,9 +55,8 @@ struct PointRoots {
 template <int D>
 struct Workspace {
   // The context's private over-cap recount: saturated epsilon-neighbor
-  // counts per reordered point for a min_pts above the index's counts cap
-  // (answers every min_pts <= the cap it was built with; see
-  // MarkCoreCounts).
+  // counts per reordered point for a min_pts above the index's counts cap,
+  // rewritten by every such query (see MarkCoreCounts).
   std::vector<uint32_t> neighbor_counts;
 
   // Core flags for the current min_pts.

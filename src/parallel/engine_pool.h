@@ -28,20 +28,14 @@
 //   // from any thread:
 //   pdbscan::Clustering c = pool.Run(min_pts);
 //
-// Context bounding and lease deadlines: by default the pool creates a new
-// QueryContext whenever every existing one is busy, so leases never block —
-// but each context owns scratch proportional to the dataset, so an
-// unbounded burst of clients means unbounded memory. SetMaxContexts(n)
-// caps the pool; once n contexts are busy, further acquisitions WAIT for a
-// free one. A bounded wait is only safe with a deadline (a stalled client
-// would otherwise starve every later caller forever), so all acquisition —
-// including the legacy Run/Sweep surfaces — goes through
-// AcquireLease/TryAcquireLeaseUntil, which honor a per-pool default
-// deadline (SetDefaultLeaseDeadline) and time out with LeaseTimeout /
-// an empty lease instead of blocking indefinitely. Timed-out legacy calls
-// tick requests_timed_out in the pool's own stats sink. Waits go through
-// an injectable Clock (serving_clock.h), so the timeout paths are
-// deterministic fake-clock unit tests, not timing assertions.
+// The pool holds no policy: a lease takes a free context, or creates one
+// when every context is busy, and never waits. Each context owns scratch
+// proportional to the dataset, so the number of contexts equals the peak
+// number of concurrent leases. Bounding that number, queueing and timing
+// out requests is the job of parallel::ServingScheduler: network queries
+// (net/server.h) reach the pool only through its executors. A context
+// answers a min_pts above the index's counts cap by recounting on every
+// call, so serve with counts_cap >= the largest min_pts.
 //
 // Inner parallelism: queries execute on the process-wide work-stealing
 // scheduler (scheduler.h), which accepts submissions from any thread, so
@@ -55,12 +49,11 @@
 // Stats: each context accumulates into its own PipelineStats (no shared
 // Reset/read-out races between clients, unlike leaning on GlobalStats());
 // AggregateStats() sums the per-context sinks plus the index-build counters
-// and the pool's own admission counters into a caller-provided sink. The
-// sums are exact once callers are quiescent.
+// into a caller-provided sink. The sums are exact once callers are
+// quiescent.
 #ifndef PDBSCAN_PARALLEL_ENGINE_POOL_H_
 #define PDBSCAN_PARALLEL_ENGINE_POOL_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -75,7 +68,6 @@
 #include "dbscan/stats.h"
 #include "dbscan/types.h"
 #include "geometry/point.h"
-#include "parallel/serving_clock.h"
 
 namespace pdbscan::sharding {
 template <int D>
@@ -83,12 +75,6 @@ class ShardedCellIndex;
 }  // namespace pdbscan::sharding
 
 namespace pdbscan::parallel {
-
-// Thrown by the blocking acquisition surfaces (Run/Sweep/AcquireLease) when
-// a bounded pool stays exhausted past the default lease deadline.
-struct LeaseTimeout : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
 
 template <int D>
 class EnginePool {
@@ -128,9 +114,9 @@ class EnginePool {
 
   // Builds the index and serves it: the one-stop "service" constructor.
   // `counts_cap` is the largest min_pts answered from the shared counts;
-  // larger values remain correct via per-context recounts. Build counters
-  // land in build_stats(), so AggregateStats() reports cells_built == 1 no
-  // matter how many queries follow.
+  // larger values remain correct via a recount on every query. Build
+  // counters land in build_stats(), so AggregateStats() reports
+  // cells_built == 1 no matter how many queries follow.
   EnginePool(std::span<const geometry::Point<D>> points, double epsilon,
              size_t counts_cap, Options options = Options())
       : index_(std::make_shared<const dbscan::CellIndex<D>>(
@@ -140,9 +126,9 @@ class EnginePool {
   EnginePool& operator=(const EnginePool&) = delete;
 
   // RAII lease: one QueryContext plus the (snapshot, generation) pair
-  // pinned at acquisition, all taken under one lock acquisition. Movable
-  // and boolean-testable so the non-throwing acquisition surface can
-  // return "no lease" on timeout. Run/Sweep on an empty lease throw.
+  // pinned at acquisition, all taken under one lock acquisition. Movable;
+  // a default-constructed or moved-from lease is empty, and Run/Sweep on
+  // it throw.
   class Lease {
    public:
     Lease() = default;
@@ -168,8 +154,6 @@ class EnginePool {
     Lease& operator=(const Lease&) = delete;
     ~Lease() { Release(); }
 
-    explicit operator bool() const { return slot_ != nullptr; }
-
     // The snapshot this lease pins; every Run/Sweep through the lease
     // answers from exactly this dataset state, even across ReplaceIndex.
     const std::shared_ptr<const dbscan::CellIndex<D>>& index() const {
@@ -182,13 +166,13 @@ class EnginePool {
     // Clusters the pinned snapshot at `min_pts` through the leased context.
     Clustering Run(size_t min_pts) {
       Require();
-      return slot_->context.Run(index_, min_pts);
+      return slot_->context.Run(*index_, min_pts);
     }
 
     // Answers a whole min_pts sweep against the pinned snapshot.
     std::vector<Clustering> Sweep(std::span<const size_t> minpts_list) {
       Require();
-      return slot_->context.Sweep(index_, minpts_list);
+      return slot_->context.Sweep(*index_, minpts_list);
     }
 
    private:
@@ -209,7 +193,6 @@ class EnginePool {
       if (pool_ == nullptr || slot_ == nullptr) return;
       std::lock_guard<std::mutex> lock(pool_->mu_);
       pool_->free_.push_back(slot_);
-      pool_->lease_cv_.notify_one();
       pool_ = nullptr;
       slot_ = nullptr;
     }
@@ -220,53 +203,22 @@ class EnginePool {
     uint64_t generation_ = 0;
   };
 
-  // Blocking acquisition with the pool's default deadline. Returns
-  // immediately while the pool is unbounded or has capacity; on a bounded,
-  // exhausted pool waits for a release and throws LeaseTimeout once the
-  // default deadline passes (ticking requests_timed_out in pool_stats()).
+  // Takes a free context, or creates one when all are busy; never waits.
+  // The lease pins the currently served (snapshot, generation) pair.
   Lease AcquireLease() {
-    const uint64_t deadline =
-        default_lease_deadline_nanos_.load(std::memory_order_relaxed);
-    Lease lease = TryAcquireLeaseUntil(
-        deadline == kNeverNanos ? kNeverNanos
-                                : clock()->NowNanos() + deadline);
-    if (!lease) {
-      pool_stats_.requests_timed_out.fetch_add(1, std::memory_order_relaxed);
-      throw LeaseTimeout("EnginePool lease wait exceeded the default deadline");
+    std::lock_guard<std::mutex> lock(mu_);
+    if (free_.empty()) {
+      slots_.push_back(std::make_unique<Slot>());
+      return Lease(this, slots_.back().get(), index_, generation_);
     }
-    return lease;
+    Slot* slot = free_.back();
+    free_.pop_back();
+    return Lease(this, slot, index_, generation_);
   }
 
-  // Non-throwing acquisition bounded by an absolute deadline on the pool's
-  // clock (kNeverNanos: wait indefinitely). Returns an empty lease on
-  // timeout; ticks no stats — callers own their timeout accounting.
-  Lease TryAcquireLeaseUntil(uint64_t deadline_nanos) {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      if (!free_.empty()) {
-        Slot* slot = free_.back();
-        free_.pop_back();
-        slot->context.EvictStaleCountsCache(index_);
-        return Lease(this, slot, index_, generation_);
-      }
-      const size_t max = max_contexts_;
-      if (max == 0 || slots_.size() < max) {
-        slots_.push_back(std::make_unique<Slot>());
-        return Lease(this, slots_.back().get(), index_, generation_);
-      }
-      if (clock()->WaitUntil(lock, lease_cv_, deadline_nanos) ==
-              Clock::WaitStatus::kTimeout &&
-          free_.empty()) {
-        return Lease();
-      }
-    }
-  }
-
-  // Thread-safe: clusters the served snapshot's point set at `min_pts`.
-  // The leased context caches over-cap recounts across queries (once per
-  // context, not once per query) and pins the snapshot for the duration of
-  // the query even if ReplaceIndex runs. Throws LeaseTimeout if a bounded
-  // pool stays exhausted past the default lease deadline.
+  // Thread-safe: clusters the served snapshot's point set at `min_pts`
+  // through a leased context. The query answers from the snapshot pinned
+  // at lease time even if ReplaceIndex runs meanwhile.
   Clustering Run(size_t min_pts) { return AcquireLease().Run(min_pts); }
 
   // Thread-safe: answers a whole min_pts sweep through one leased context,
@@ -285,16 +237,13 @@ class EnginePool {
   // generation. In-flight queries finish against the snapshot they pinned;
   // subsequent leases see the new one. This is the streaming hand-over
   // point — StreamingClusterer calls it after every published update
-  // batch. Free contexts' over-cap recount caches are evicted here (they
-  // are quiescent while mu_ is held), and busy ones evict at their next
-  // lease, so retired snapshots are never kept alive indefinitely by
-  // context caches — only by in-flight queries.
+  // batch. Contexts hold no reference to any snapshot, so a retired one is
+  // freed as soon as the last lease pinning it is released.
   void ReplaceIndex(std::shared_ptr<const dbscan::CellIndex<D>> index) {
     if (!index) throw std::invalid_argument("EnginePool needs an index");
     std::lock_guard<std::mutex> lock(mu_);
     index_ = std::move(index);
     ++generation_;
-    for (Slot* slot : free_) slot->context.EvictStaleCountsCache(index_);
   }
 
   // ReplaceIndex at an explicit generation, for pools whose generation
@@ -314,7 +263,6 @@ class EnginePool {
     }
     index_ = std::move(index);
     generation_ = generation;
-    for (Slot* slot : free_) slot->context.EvictStaleCountsCache(index_);
   }
 
   // The currently served snapshot (a consistent shared_ptr copy; the
@@ -340,38 +288,9 @@ class EnginePool {
     return generation_;
   }
 
-  // Bounds the number of QueryContexts (0 = unbounded, the default). With
-  // a bound in place, acquisitions beyond it wait — see the class comment.
-  // Existing contexts above a new lower bound are not destroyed; the pool
-  // simply stops creating more.
-  void SetMaxContexts(size_t max_contexts) {
-    std::lock_guard<std::mutex> lock(mu_);
-    max_contexts_ = max_contexts;
-    lease_cv_.notify_all();
-  }
-
-  // Deadline the blocking surfaces (Run/Sweep/AcquireLease) wait for a free
-  // context on a bounded pool before throwing LeaseTimeout. Default: 30s.
-  // kNeverNanos restores the pre-bounding behavior (wait forever).
-  void SetDefaultLeaseDeadline(uint64_t nanos) {
-    default_lease_deadline_nanos_.store(nanos, std::memory_order_relaxed);
-  }
-
-  // Injects the time source lease waits run on (tests: FakeClock). Must be
-  // called while no acquisition is waiting; the clock must outlive the
-  // pool. nullptr restores the real clock.
-  void SetClock(Clock* clock) {
-    std::lock_guard<std::mutex> lock(mu_);
-    clock_ = clock;
-  }
-
   // Counters of the index build, when this pool built its index (zero when
   // an externally built index was adopted).
   const dbscan::PipelineStats& build_stats() const { return build_stats_; }
-
-  // The pool's own admission counters (currently: requests_timed_out from
-  // lease-deadline expiry on the blocking surfaces).
-  const dbscan::PipelineStats& pool_stats() const { return pool_stats_; }
 
   // Number of contexts ever created == peak query concurrency observed.
   size_t contexts_created() const {
@@ -379,14 +298,12 @@ class EnginePool {
     return slots_.size();
   }
 
-  // Sums build stats, the pool's admission counters, and every context's
-  // counters/timings into `out` (which the caller typically Reset()s
-  // first). Exact when no query is in flight; during traffic individual
-  // counters are still atomically read but the sum is not a point-in-time
-  // snapshot.
+  // Sums build stats and every context's counters/timings into `out`
+  // (which the caller typically Reset()s first). Exact when no query is in
+  // flight; during traffic individual counters are still atomically read
+  // but the sum is not a point-in-time snapshot.
   void AggregateStats(dbscan::PipelineStats& out) const {
     out.MergeFrom(build_stats_);
-    out.MergeFrom(pool_stats_);
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& slot : slots_) out.MergeFrom(slot->stats);
   }
@@ -399,17 +316,10 @@ class EnginePool {
     dbscan::QueryContext<D> context{&stats};
   };
 
-  Clock* clock() const { return clock_ != nullptr ? clock_ : &Clock::Real(); }
-
   dbscan::PipelineStats build_stats_;
-  dbscan::PipelineStats pool_stats_;
   std::shared_ptr<const dbscan::CellIndex<D>> index_;
   uint64_t generation_ = 1;
-  size_t max_contexts_ = 0;
-  std::atomic<uint64_t> default_lease_deadline_nanos_{SecondsToNanos(30)};
-  Clock* clock_ = nullptr;
   mutable std::mutex mu_;
-  std::condition_variable lease_cv_;
   std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<Slot*> free_;
 };

@@ -1,70 +1,57 @@
 // Injectable time source for the serving layer — the seam that turns
 // scheduling races into reproducible unit tests.
 //
-// Every time-dependent decision in the serving stack (deadline expiry,
-// bounded lease waits, admission-queue timeouts) reads time and blocks
-// exclusively through a Clock, never through std::chrono or raw
-// condition_variable timed waits. Production code uses SystemClock (the
-// process-wide monotonic clock); tests inject a FakeClock whose time only
-// moves when the test calls Advance(), so "the deadline passed while the
-// request sat in the queue" is a deterministic sequence of calls rather
-// than a sleep-and-hope timing assertion. No test in the serving suites
-// contains a real sleep.
+// Every time-dependent decision in the serving stack (deadline expiry at
+// admission, claim and delivery; latency histograms) reads time through a
+// Clock, never through std::chrono directly. Production code uses
+// SystemClock (the process-wide monotonic clock); tests inject a FakeClock
+// whose time only moves when the test calls Advance(), so "the deadline
+// passed while the request sat in the queue" is a deterministic sequence
+// of calls rather than a sleep-and-hope timing assertion. No test in the
+// serving suites contains a real sleep.
 //
-// The waiting contract mirrors condition_variable: a caller holds a lock,
-// calls WaitUntil(lock, cv, deadline), and loops on its own predicate —
-// WaitUntil may return spuriously (it reports kTimeout only when the
-// clock's now has actually reached the deadline). SystemClock maps this to
-// cv.wait_until; FakeClock parks the caller until Advance() moves time or
-// someone notifies the cv directly.
-//
-// FakeClock wake-up protocol: WaitUntil registers the caller's (mutex, cv)
-// pair while the caller still holds the mutex; Advance() bumps now, then
-// acquires each registered waiter's mutex (briefly, after releasing the
-// registry lock — no lock-order cycle with callers) before notifying, so a
-// waiter that checked the time before blocking cannot miss the wake-up.
-// The registered mutex/cv objects must outlive concurrent Advance() calls
-// — true for the intended users, whose waits live inside long-lived pool /
-// scheduler objects.
+// A Clock is only a time source: nothing blocks on it. The scheduler's
+// idle executors park on a plain condition variable, and they park only
+// when the queue is empty, so no queued deadline can pass unseen.
 #ifndef PDBSCAN_PARALLEL_SERVING_CLOCK_H_
 #define PDBSCAN_PARALLEL_SERVING_CLOCK_H_
 
-#include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <limits>
 #include <mutex>
-#include <vector>
 
 namespace pdbscan::parallel {
 
-// Monotonic nanoseconds. kNeverNanos means "no deadline" — waits forever.
+// Monotonic nanoseconds. kNeverNanos means "no deadline".
 inline constexpr uint64_t kNeverNanos = std::numeric_limits<uint64_t>::max();
 
-inline constexpr uint64_t MillisToNanos(uint64_t ms) { return ms * 1000000ull; }
+// a * b, or kNeverNanos when the product does not fit below it.
+inline constexpr uint64_t SaturatingMul(uint64_t a, uint64_t b) {
+  return b != 0 && a >= kNeverNanos / b ? kNeverNanos : a * b;
+}
+
+// a + b, or kNeverNanos when the sum does not fit below it.
+inline constexpr uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
+  return a >= kNeverNanos - b ? kNeverNanos : a + b;
+}
+
+// Both saturate at kNeverNanos, so a huge timeout means "no deadline"
+// rather than wrapping around to a deadline in the past.
+inline constexpr uint64_t MillisToNanos(uint64_t ms) {
+  return SaturatingMul(ms, 1000000ull);
+}
 inline constexpr uint64_t SecondsToNanos(uint64_t s) {
-  return s * 1000000000ull;
+  return SaturatingMul(s, 1000000000ull);
 }
 
 class Clock {
  public:
-  enum class WaitStatus { kNotified, kTimeout };
-
   virtual ~Clock() = default;
 
   // Monotonic now, in nanoseconds. Comparable only against values from the
   // same clock instance (SystemClock uses a process-wide epoch).
   virtual uint64_t NowNanos() const = 0;
-
-  // Blocks until `cv` is notified or now reaches `deadline_nanos`
-  // (kNeverNanos: until notified). `lock` must be held, as for
-  // condition_variable::wait. May wake spuriously with kNotified; callers
-  // loop on their own predicate. Returns kTimeout only when
-  // NowNanos() >= deadline_nanos.
-  virtual WaitStatus WaitUntil(std::unique_lock<std::mutex>& lock,
-                               std::condition_variable& cv,
-                               uint64_t deadline_nanos) = 0;
 
   // The process-wide real (steady) clock.
   static Clock& Real();
@@ -79,21 +66,6 @@ class SystemClock : public Clock {
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
   }
-
-  WaitStatus WaitUntil(std::unique_lock<std::mutex>& lock,
-                       std::condition_variable& cv,
-                       uint64_t deadline_nanos) override {
-    if (deadline_nanos == kNeverNanos) {
-      cv.wait(lock);
-      return WaitStatus::kNotified;
-    }
-    if (NowNanos() >= deadline_nanos) return WaitStatus::kTimeout;
-    const auto until = std::chrono::steady_clock::time_point(
-        std::chrono::nanoseconds(deadline_nanos));
-    return cv.wait_until(lock, until) == std::cv_status::timeout
-               ? WaitStatus::kTimeout
-               : WaitStatus::kNotified;
-  }
 };
 
 inline Clock& Clock::Real() {
@@ -102,7 +74,7 @@ inline Clock& Clock::Real() {
 }
 
 // Test clock: time starts at a fixed epoch and moves only via Advance().
-// Thread-safe; see the header comment for the wake-up protocol.
+// Thread-safe.
 class FakeClock : public Clock {
  public:
   explicit FakeClock(uint64_t start_nanos = SecondsToNanos(1))
@@ -113,77 +85,16 @@ class FakeClock : public Clock {
     return now_nanos_;
   }
 
-  WaitStatus WaitUntil(std::unique_lock<std::mutex>& lock,
-                       std::condition_variable& cv,
-                       uint64_t deadline_nanos) override {
-    {
-      std::lock_guard<std::mutex> guard(mu_);
-      if (deadline_nanos != kNeverNanos && now_nanos_ >= deadline_nanos) {
-        return WaitStatus::kTimeout;
-      }
-      waiters_.push_back(Waiter{lock.mutex(), &cv});
-      waiter_count_cv_.notify_all();
-    }
-    // One wait per call: the caller's predicate loop supplies the retries,
-    // exactly as with condition_variable spurious wake-ups.
-    cv.wait(lock);
-    std::lock_guard<std::mutex> guard(mu_);
-    for (size_t i = 0; i < waiters_.size(); ++i) {
-      if (waiters_[i].mu == lock.mutex() && waiters_[i].cv == &cv) {
-        waiters_.erase(waiters_.begin() + static_cast<ptrdiff_t>(i));
-        break;
-      }
-    }
-    waiter_count_cv_.notify_all();
-    return deadline_nanos != kNeverNanos && now_nanos_ >= deadline_nanos
-               ? WaitStatus::kTimeout
-               : WaitStatus::kNotified;
-  }
-
-  // Moves time forward and wakes every registered waiter so it re-checks
-  // its predicate/deadline against the new now.
   void Advance(uint64_t nanos) {
-    std::vector<Waiter> to_wake;
-    {
-      std::lock_guard<std::mutex> guard(mu_);
-      now_nanos_ += nanos;
-      to_wake = waiters_;
-    }
-    // Acquire each waiter's mutex before notifying (then release; the
-    // registry lock is NOT held here): a registrant that has not yet
-    // entered cv.wait still holds its mutex, so this acquisition orders
-    // the notify after its wait begins — no lost wake-ups.
-    for (const Waiter& w : to_wake) {
-      { std::lock_guard<std::mutex> order(*w.mu); }
-      w.cv->notify_all();
-    }
+    std::lock_guard<std::mutex> guard(mu_);
+    now_nanos_ += nanos;
   }
 
   void AdvanceMillis(uint64_t ms) { Advance(MillisToNanos(ms)); }
 
-  // Test rendezvous (not a timing wait): blocks until at least `n` calls
-  // are parked inside WaitUntil. Lets a test deterministically order
-  // "thread B is waiting" before "Advance past B's deadline".
-  void BlockUntilWaiters(size_t n) {
-    std::unique_lock<std::mutex> guard(mu_);
-    waiter_count_cv_.wait(guard, [&]() { return waiters_.size() >= n; });
-  }
-
-  size_t waiter_count() const {
-    std::lock_guard<std::mutex> guard(mu_);
-    return waiters_.size();
-  }
-
  private:
-  struct Waiter {
-    std::mutex* mu;
-    std::condition_variable* cv;
-  };
-
   mutable std::mutex mu_;
   uint64_t now_nanos_;
-  std::vector<Waiter> waiters_;
-  std::condition_variable waiter_count_cv_;
 };
 
 }  // namespace pdbscan::parallel

@@ -6,13 +6,12 @@
 //
 //   * Bounded admission with deadlines. Every request enters a bounded
 //     queue with an absolute deadline (default from ServingOptions,
-//     per-request override). A full queue applies the configured overload
-//     policy — refuse the newcomer (kRejectNew) or evict the oldest
-//     waiter (kDropOldest) — instead of letting the backlog grow without
-//     limit; a request whose deadline passes while queued (or whose
-//     execution finishes after it) resolves as kTimedOut instead of
-//     occupying an executor. Rejections and timeouts are counted, never
-//     silent (requests_rejected / requests_timed_out).
+//     per-request override). A full queue refuses the newcomer instead of
+//     letting the backlog grow without limit; a request whose deadline
+//     passes while queued (or whose execution finishes after it) resolves
+//     as kTimedOut instead of occupying an executor. Rejections and
+//     timeouts are counted, never silent (requests_rejected /
+//     requests_timed_out).
 //
 //   * In-flight coalescing. The admission queue doubles as the coalescing
 //     window: when an executor claims work it takes EVERY queued request
@@ -37,10 +36,9 @@
 //     int32 labels plus a side list for multi-membership points) and
 //     expanded back to a bit-identical Clustering on a hit.
 //
-//   * Async submission. SubmitAsync returns a std::future<ServeResult>
-//     and SubmitCallback invokes a completion callback from the executor,
-//     so one OS thread can keep an arbitrary number of requests in
-//     flight; Submit is the blocking convenience over the same path.
+//   * Async submission. SubmitAsync returns a std::future<ServeResult>, so
+//     one OS thread can keep an arbitrary number of requests in flight;
+//     Submit is the blocking convenience over the same path.
 //
 // Determinism-by-construction: all time handling goes through the
 // injectable Clock (serving_clock.h) and ServingOptions.num_executors == 0
@@ -77,6 +75,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -91,15 +90,9 @@
 
 namespace pdbscan::parallel {
 
-// What to do with a Submit that finds the admission queue full.
-enum class OverloadPolicy {
-  kRejectNew,   // Refuse the new request (callers see kRejected).
-  kDropOldest,  // Evict the longest-waiting request, admit the new one.
-};
-
 enum class ServeStatus {
   kOk,        // clustering/generation are valid.
-  kRejected,  // Refused at admission (queue full) or evicted by kDropOldest.
+  kRejected,  // Refused at admission (queue full).
   kTimedOut,  // Deadline passed while queued or before delivery.
   kShutdown,  // Scheduler stopped before the request executed.
 };
@@ -200,15 +193,13 @@ struct CompactClustering {
 };
 
 struct ServingOptions {
-  // Admission-queue bound; a Submit beyond it triggers overload_policy.
+  // Admission-queue bound; a Submit beyond it is refused (kRejected).
   size_t queue_limit = 256;
 
   // Relative deadline applied to requests that do not pass their own
   // (kNeverNanos: no deadline). Absolute deadlines are stamped at
   // admission from the scheduler's clock.
   uint64_t default_timeout_nanos = SecondsToNanos(5);
-
-  OverloadPolicy overload_policy = OverloadPolicy::kRejectNew;
 
   // Result-cache entries kept, LRU-evicted; 0 disables the cache (and the
   // cache_hits/cache_misses counters stay 0).
@@ -220,11 +211,11 @@ struct ServingOptions {
   bool coalescing = true;
 
   // Executor threads. 0 = manual pump mode: no threads, the caller drives
-  // execution via Pump() (the deterministic-test configuration; sync
-  // Submit would deadlock, use SubmitAsync + Pump).
+  // execution via Pump() (the deterministic-test configuration; Submit
+  // throws there, use SubmitAsync + Pump).
   size_t num_executors = 1;
 
-  // Time source for deadlines and idle waits (nullptr: the real steady
+  // Time source for deadlines and latencies (nullptr: the real steady
   // clock). Tests inject a FakeClock; must outlive the scheduler.
   Clock* clock = nullptr;
 
@@ -247,7 +238,7 @@ struct ServingOptions {
 struct ServingHistograms {
   telemetry::LatencyHistogram request_nanos;     // Admission -> delivery.
   telemetry::LatencyHistogram queue_wait_nanos;  // Admission -> batch claim.
-  telemetry::LatencyHistogram execute_nanos;     // Lease wait + sweep.
+  telemetry::LatencyHistogram execute_nanos;     // Lease + sweep.
 };
 
 template <int D>
@@ -291,45 +282,17 @@ class ServingScheduler {
     return future;
   }
 
-  // Callback flavor: `done` runs exactly once — on the executor for
-  // executed/expired requests, on the submitting thread for cache hits,
-  // rejections, and shutdown. Keep callbacks cheap; they run on the
-  // serving path.
-  void SubmitCallback(size_t min_pts, std::function<void(ServeResult)> done) {
-    SubmitCallback(min_pts, options_.default_timeout_nanos, std::move(done));
+  // Blocking submission. Throws std::logic_error in manual pump mode
+  // (num_executors == 0), where no thread would ever execute the request.
+  ServeResult Submit(size_t min_pts) {
+    return Submit(min_pts, options_.default_timeout_nanos);
   }
-
-  void SubmitCallback(size_t min_pts, uint64_t timeout_nanos,
-                      std::function<void(ServeResult)> done) {
-    Request req;
-    req.min_pts = min_pts;
-    req.callback = std::move(done);
-    Admit(std::move(req), min_pts, timeout_nanos);
-  }
-
-  // Blocking submission (requires num_executors >= 1; in manual pump mode
-  // this would wait for a Pump that never comes).
-  ServeResult Submit(size_t min_pts) { return SubmitAsync(min_pts).get(); }
   ServeResult Submit(size_t min_pts, uint64_t timeout_nanos) {
-    return SubmitAsync(min_pts, timeout_nanos).get();
-  }
-
-  // Convenience that unwraps kOk or throws (LeaseTimeout for kTimedOut,
-  // std::runtime_error otherwise) — the drop-in replacement for
-  // EnginePool::Run in serving code.
-  Clustering Run(size_t min_pts) {
-    ServeResult r = Submit(min_pts);
-    switch (r.status) {
-      case ServeStatus::kOk:
-        return std::move(r.clustering);
-      case ServeStatus::kTimedOut:
-        throw LeaseTimeout("serving request timed out");
-      case ServeStatus::kRejected:
-        throw std::runtime_error("serving request rejected (queue full)");
-      case ServeStatus::kShutdown:
-        throw std::runtime_error("serving scheduler is shut down");
+    if (options_.num_executors == 0) {
+      throw std::logic_error(
+          "blocking Submit on a manual-pump scheduler would never return");
     }
-    throw std::logic_error("unreachable");
+    return SubmitAsync(min_pts, timeout_nanos).get();
   }
 
   // Manual pump (num_executors == 0): performs one expire-claim-execute
@@ -386,8 +349,8 @@ class ServingScheduler {
   // external one was given at construction).
   const dbscan::PipelineStats& serving_stats() const { return *stats_; }
 
-  // Scheduler counters plus everything the pool aggregates (build, pool
-  // admission, per-context query counters). Exact when quiescent.
+  // Scheduler counters plus everything the pool aggregates (build and
+  // per-context query counters). Exact when quiescent.
   void AggregateStats(dbscan::PipelineStats& out) const {
     out.MergeFrom(*stats_);
     pool_.AggregateStats(out);
@@ -419,7 +382,6 @@ class ServingScheduler {
     uint64_t admit_steady_nanos = 0;  // telemetry::NowNanos at admission.
     uint64_t admit_clock_nanos = 0;   // Scheduler clock at admission.
     std::promise<ServeResult> promise;
-    std::function<void(ServeResult)> callback;
   };
 
   // (generation, epsilon, min_pts) — the full serving identity of a
@@ -460,8 +422,7 @@ class ServingScheduler {
   void Admit(Request&& req, size_t min_pts, uint64_t timeout_nanos) {
     if (min_pts == 0) throw std::invalid_argument("min_pts must be positive");
     const uint64_t now = clock_->NowNanos();
-    req.deadline_nanos =
-        timeout_nanos == kNeverNanos ? kNeverNanos : now + timeout_nanos;
+    req.deadline_nanos = SaturatingAdd(now, timeout_nanos);
     req.admit_clock_nanos = now;
     if (telemetry::TraceEnabled()) {
       // Ambient propagation: whatever trace the admitting thread is inside
@@ -474,8 +435,6 @@ class ServingScheduler {
     ServeResult immediate;
     std::shared_ptr<const CompactClustering> hit;
     bool resolve_now = false;
-    Request victim;
-    bool have_victim = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (stopped_) {
@@ -492,30 +451,16 @@ class ServingScheduler {
           stats_->cache_misses.fetch_add(1, std::memory_order_relaxed);
         }
         if (queue_.size() >= options_.queue_limit) {
-          if (options_.overload_policy == OverloadPolicy::kRejectNew) {
-            stats_->requests_rejected.fetch_add(1, std::memory_order_relaxed);
-            immediate.status = ServeStatus::kRejected;
-            immediate.min_pts = min_pts;
-            resolve_now = true;
-          } else {
-            victim = std::move(queue_.front());
-            queue_.pop_front();
-            have_victim = true;
-            stats_->requests_rejected.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        if (!resolve_now) {
+          stats_->requests_rejected.fetch_add(1, std::memory_order_relaxed);
+          immediate.status = ServeStatus::kRejected;
+          immediate.min_pts = min_pts;
+          resolve_now = true;
+        } else {
           queue_.push_back(std::move(req));
           stats_->requests_admitted.fetch_add(1, std::memory_order_relaxed);
           UpdateQueuePeakLocked();
         }
       }
-    }
-    if (have_victim) {
-      ServeResult dropped;
-      dropped.status = ServeStatus::kRejected;
-      dropped.min_pts = victim.min_pts;
-      Deliver(victim, std::move(dropped));
     }
     if (resolve_now) {
       if (hit) immediate.clustering = hit->Expand();  // The waiter's own copy.
@@ -652,24 +597,10 @@ class ServingScheduler {
     }
     telemetry::ScopedTraceContext trace_ctx(batch_trace, batch_parent);
 
-    // Wait for a context no longer than the batch's latest deadline —
-    // if the pool stays exhausted past it, nobody in the batch is still
-    // servable anyway.
-    uint64_t latest = 0;
-    for (const Request& r : batch) {
-      latest = r.deadline_nanos == kNeverNanos
-                   ? kNeverNanos
-                   : std::max(latest, r.deadline_nanos);
-      if (latest == kNeverNanos) break;
-    }
     typename EnginePool<D>::Lease lease = [&]() {
       telemetry::TraceSpan span("lease_acquire");
-      return pool_.TryAcquireLeaseUntil(latest);
+      return pool_.AcquireLease();
     }();
-    if (!lease) {
-      ResolveExpired(batch);
-      return;
-    }
     const uint64_t generation = lease.generation();
     const uint64_t eps_bits = EpsBits(lease.index()->epsilon());
 
@@ -730,8 +661,7 @@ class ServingScheduler {
     }
   }
 
-  // Resolves one request exactly once: future first, then the callback
-  // (callbacks run without scheduler locks held).
+  // Resolves one request exactly once (without scheduler locks held).
   void Deliver(Request& req, ServeResult&& result) {
     if (req.admit_clock_nanos != 0) {
       const uint64_t latency = clock_->NowNanos() - req.admit_clock_nanos;
@@ -740,13 +670,7 @@ class ServingScheduler {
       }
       if (latency >= options_.slow_query_nanos) LogSlowQuery(req, latency);
     }
-    if (req.callback) {
-      ServeResult copy = result;
-      req.promise.set_value(std::move(result));
-      req.callback(std::move(copy));
-    } else {
-      req.promise.set_value(std::move(result));
-    }
+    req.promise.set_value(std::move(result));
   }
 
   void LogSlowQuery(const Request& req, uint64_t latency_nanos) {
@@ -781,10 +705,9 @@ class ServingScheduler {
             ClaimBatchLocked(batch);
             break;
           }
-          // Idle executors park without a deadline: queued work always
-          // either has an executor awake (claimed immediately) or will be
-          // deadline-checked when one returns here — and Submit notifies.
-          clock_->WaitUntil(lock, work_cv_, kNeverNanos);
+          // Idle executors park only on an empty queue, so no queued
+          // deadline can pass unseen; Admit and Shutdown notify.
+          work_cv_.wait(lock);
         }
         if (stopped_ && expired.empty() && batch.empty()) return;
       }

@@ -61,9 +61,8 @@
 //   pdbscan::ServeResult r = f.get();
 //   if (r.ok()) use(r.clustering);                    // else r.status says
 //                                                     // kRejected/kTimedOut
-//   // Blocking flavor with per-request timeout, callback flavor:
+//   // Blocking flavor with a per-request timeout:
 //   auto r2 = server.Submit(10, pdbscan::parallel::MillisToNanos(50));
-//   server.SubmitCallback(10, [](pdbscan::ServeResult r) { ... });
 //
 // Every kOk response is bit-identical to a solo EnginePool::Run at the
 // generation it reports (coalesced and cached responses included — the
@@ -222,15 +221,15 @@ using EnginePool = parallel::EnginePool<D>;
 
 // --- Serving surface (see parallel/serving_scheduler.h). -------------------
 
-// The admission/batching/caching layer over an EnginePool: bounded queue
-// with per-request deadlines and an overload policy, cross-client query
-// coalescing into single batched sweeps, a generation-keyed LRU result
-// cache, and an async submission API.
+// The admission/batching/caching layer over an EnginePool: a bounded queue
+// with per-request deadlines that refuses newcomers when full, cross-client
+// query coalescing into single batched sweeps, a generation-keyed LRU
+// result cache, and an async submission API.
 template <int D>
 using ServingScheduler = parallel::ServingScheduler<D>;
 
-// Scheduler knobs: queue_limit, default_timeout_nanos, overload_policy,
-// cache_capacity, coalescing, num_executors (0 = manual Pump mode), clock.
+// Scheduler knobs: queue_limit, default_timeout_nanos, cache_capacity,
+// coalescing, num_executors (0 = manual Pump mode), clock.
 using ServingOptions = parallel::ServingOptions;
 
 // One resolved request: status, the waiter's own Clustering, the snapshot
@@ -238,17 +237,10 @@ using ServingOptions = parallel::ServingOptions;
 using ServeResult = parallel::ServeResult;
 using ServeStatus = parallel::ServeStatus;
 
-// Full-queue behavior: refuse the newcomer or evict the oldest waiter.
-using OverloadPolicy = parallel::OverloadPolicy;
-
 // The serving stack's injectable time source; FakeClock makes deadline /
 // overflow / coalescing races deterministic in tests (no real sleeps).
 using Clock = parallel::Clock;
 using FakeClock = parallel::FakeClock;
-
-// Thrown by EnginePool::Run/Sweep (and ServingScheduler::Run) when no
-// query context frees up before the deadline.
-using LeaseTimeout = parallel::LeaseTimeout;
 
 // Streaming writer: applies batched inserts/erases of stable point ids
 // incrementally, publishing each state as an immutable CellIndex snapshot

@@ -7,6 +7,7 @@
 // no races".
 #include <atomic>
 #include <map>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -223,38 +224,71 @@ TEST(ConcurrentPool, OverCapQueriesRecountPrivatelyAndStayIdentical) {
 
   dbscan::PipelineStats agg;
   pool.AggregateStats(agg);
-  // Every query either recounted (over-cap, first time in its context) or
-  // reused (under-cap from the shared index, or a context's cached
-  // recount); plus the 1 count pass of the index build itself.
-  EXPECT_EQ(agg.counts_built.load() - 1 + agg.counts_reused.load(), kClients);
-  // At least one over-cap recount happened; at most one per over-cap
-  // client (the per-context cache never recounts twice in one context).
-  EXPECT_GE(agg.counts_built.load(), 2u);
-  EXPECT_LE(agg.counts_built.load(), 1u + kClients / 2);
+  // The index build counted once; every over-cap query recounted privately,
+  // and every under-cap query read the shared counts.
+  EXPECT_EQ(agg.counts_built.load(), 1u + kClients / 2);
+  EXPECT_EQ(agg.counts_reused.load(), kClients / 2);
 }
 
-TEST(ConcurrentPool, OverCapRecountIsCachedPerContext) {
+TEST(ConcurrentPool, EveryOverCapQueryRecounts) {
   const auto pts = BlobPoints<2>(800, 3, 16.0, 1.0, 37);
   const double eps = 1.0;
   auto index = CellIndex<2>::Build(pts, eps, /*counts_cap=*/5);
   const Clustering expected = Dbscan<2>(pts, eps, 20);
   dbscan::PipelineStats stats;
   QueryContext<2> ctx(&stats);
-  // Same over-cap setting twice through the shared_ptr overload: the
-  // second query reuses the context's cached recount.
-  ExpectIdentical(expected, ctx.Run(index, 20), "first over-cap");
-  ExpectIdentical(expected, ctx.Run(index, 20), "second over-cap");
-  EXPECT_EQ(stats.counts_built.load(), 1u);
-  EXPECT_EQ(stats.counts_reused.load(), 1u);
-  // A lower over-cap setting still fits the cached cap-20 recount.
-  (void)ctx.Run(index, 10);
-  EXPECT_EQ(stats.counts_built.load(), 1u);
-  // A different index at the same address cannot alias the cache: the
-  // cache pins `index` alive, so replacing it yields a fresh address.
-  auto other = CellIndex<2>::Build(pts, eps * 2, /*counts_cap=*/5);
-  const Clustering expected_other = Dbscan<2>(pts, eps * 2, 20);
-  ExpectIdentical(expected_other, ctx.Run(other, 20), "other index");
+  // A context keeps no recount across calls: the same over-cap setting
+  // twice, then a lower one still above the cap, recount each time.
+  ExpectIdentical(expected, ctx.Run(*index, 20), "first over-cap");
+  ExpectIdentical(expected, ctx.Run(*index, 20), "second over-cap");
   EXPECT_EQ(stats.counts_built.load(), 2u);
+  ExpectIdentical(Dbscan<2>(pts, eps, 10), ctx.Run(*index, 10),
+                  "lower over-cap");
+  EXPECT_EQ(stats.counts_built.load(), 3u);
+  EXPECT_EQ(stats.counts_reused.load(), 0u);
+  // In-cap queries between them read the index's counts.
+  ExpectIdentical(Dbscan<2>(pts, eps, 5), ctx.Run(*index, 5), "in cap");
+  EXPECT_EQ(stats.counts_built.load(), 3u);
+  EXPECT_EQ(stats.counts_reused.load(), 1u);
+  // A sweep with settings above the cap recounts once, at its maximum.
+  const std::vector<Clustering> swept = ctx.Sweep(*index, {20, 3, 10});
+  ExpectIdentical(expected, swept[0], "sweep over-cap");
+  EXPECT_EQ(stats.counts_built.load(), 4u);
+
+  // Through a pool, one context serves both queries and recounts twice.
+  EnginePool<2> pool(index);
+  ExpectIdentical(expected, pool.Run(20), "pool over-cap");
+  ExpectIdentical(expected, pool.Run(20), "pool over-cap again");
+  dbscan::PipelineStats agg;
+  pool.AggregateStats(agg);
+  EXPECT_EQ(pool.contexts_created(), 1u);
+  EXPECT_EQ(agg.counts_built.load(), 2u);
+  EXPECT_EQ(agg.counts_reused.load(), 0u);
+}
+
+// A retired snapshot lives exactly as long as the leases that pin it: no
+// context keeps a reference to an index across queries.
+TEST(ConcurrentPool, RetiredSnapshotIsFreedOnceNoLeasePinsIt) {
+  const auto pts = BlobPoints<2>(600, 3, 16.0, 1.0, 41);
+  const double eps = 1.0;
+  auto v1 = CellIndex<2>::Build(pts, eps, /*counts_cap=*/5);
+  const std::weak_ptr<const CellIndex<2>> weak_v1 = v1;
+  EnginePool<2> pool(v1);
+  ExpectIdentical(Dbscan<2>(pts, eps, 4), pool.Run(4), "in cap on v1");
+  ExpectIdentical(Dbscan<2>(pts, eps, 12), pool.Run(12), "over cap on v1");
+
+  {
+    EnginePool<2>::Lease lease = pool.AcquireLease();
+    ASSERT_EQ(lease.index(), v1);
+    pool.ReplaceIndex(CellIndex<2>::Build(pts, eps * 2, /*counts_cap=*/5));
+    v1.reset();
+    EXPECT_FALSE(weak_v1.expired());  // The lease still pins v1.
+    ExpectIdentical(Dbscan<2>(pts, eps, 12), lease.Run(12),
+                    "over cap through the pinned lease");
+  }
+  EXPECT_TRUE(weak_v1.expired());
+  EXPECT_EQ(pool.contexts_created(), 1u);
+  ExpectIdentical(Dbscan<2>(pts, eps * 2, 12), pool.Run(12), "over cap on v2");
 }
 
 // --- QueryContext against shared indexes, without a pool -------------------

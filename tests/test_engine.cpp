@@ -140,11 +140,11 @@ TEST(EngineReuse, CellCacheKeyedOnEpsilon) {
   // counts cap was 5; cells reused, counts recomputed at the higher cap.
   EXPECT_EQ(stats.cells_built.load(), 1u);
   EXPECT_GE(stats.cells_reused.load(), 1u);
-  (void)engine.Run(1.0, 7);  // Under the cap: cells and counts both reused.
-  // counts_reused follows QueryContext's rule: every query served from
-  // existing counts ticks it — the first Run (the index's own counts) and
-  // this one (the context's recount at cap 10).
-  EXPECT_EQ(stats.counts_reused.load(), 2u);
+  (void)engine.Run(1.0, 7);  // Still above the cap of 5: recounted again.
+  // counts_reused ticks only for queries served from the index's counts
+  // (the first Run); the index build and each over-cap query count.
+  EXPECT_EQ(stats.counts_reused.load(), 1u);
+  EXPECT_EQ(stats.counts_built.load(), 3u);
   (void)engine.Run(2.0, 5);  // New epsilon: rebuild.
   EXPECT_EQ(stats.cells_built.load(), 2u);
   EXPECT_FALSE(engine.has_cells_for(1.0));

@@ -88,12 +88,12 @@ void CheckRoundTrip(const Options& options, const std::string& tag) {
     EXPECT_EQ(loaded->num_cells(), live->num_cells());
     QueryContext<D> ctx;
     for (const size_t min_pts : {size_t{2}, size_t{8}, size_t{40}}) {
-      ExpectIdentical(live_ctx.Run(live, min_pts), ctx.Run(loaded, min_pts),
+      ExpectIdentical(live_ctx.Run(*live, min_pts), ctx.Run(*loaded, min_pts),
                       mode_tag + " min_pts=" + std::to_string(min_pts));
     }
     const std::vector<size_t> sweep = {2, 5, 12, 33};
-    const auto expect = live_ctx.Sweep(live, std::span<const size_t>(sweep));
-    const auto got = ctx.Sweep(loaded, std::span<const size_t>(sweep));
+    const auto expect = live_ctx.Sweep(*live, std::span<const size_t>(sweep));
+    const auto got = ctx.Sweep(*loaded, std::span<const size_t>(sweep));
     ASSERT_EQ(expect.size(), got.size());
     for (size_t i = 0; i < sweep.size(); ++i) {
       ExpectIdentical(expect[i], got[i],
@@ -101,7 +101,7 @@ void CheckRoundTrip(const Options& options, const std::string& tag) {
     }
     // EnginePool serves a loaded index like any other.
     EnginePool<D> pool(loaded);
-    ExpectIdentical(live_ctx.Run(live, 8), pool.Run(8), mode_tag + " pool");
+    ExpectIdentical(live_ctx.Run(*live, 8), pool.Run(8), mode_tag + " pool");
   }
 }
 
@@ -137,7 +137,7 @@ TEST(SnapshotRoundTrip, EmptyIndex) {
     auto loaded = LoadIndex<2>(path, mode);
     EXPECT_EQ(loaded->num_points(), 0u);
     QueryContext<2> ctx;
-    EXPECT_EQ(ctx.Run(loaded, 3).size(), 0u);
+    EXPECT_EQ(ctx.Run(*loaded, 3).size(), 0u);
   }
 }
 
@@ -152,7 +152,7 @@ TEST(SnapshotRoundTrip, MappedIndexSurvivesFileUnlink) {
   auto loaded = LoadIndex<2>(path, LoadMode::kMapped);
   fs::remove(path);
   QueryContext<2> ctx, live_ctx;
-  ExpectIdentical(live_ctx.Run(live, 6), ctx.Run(loaded, 6),
+  ExpectIdentical(live_ctx.Run(*live, 6), ctx.Run(*loaded, 6),
                   "post-unlink mapped serve");
 }
 
@@ -287,8 +287,8 @@ TEST(StreamCheckpoint, RestoreContinuesBitIdentically) {
                                  std::span<const uint64_t>(loaded.live_ids),
                                  loaded.next_id);
     QueryContext<3> ca, cb;
-    ExpectIdentical(ca.Run(live.snapshot(), 6), cb.Run(restored.snapshot(), 6),
-                    "restored snapshot");
+    ExpectIdentical(ca.Run(*live.snapshot(), 6),
+                    cb.Run(*restored.snapshot(), 6), "restored snapshot");
     // The restored writer must evolve exactly like the uninterrupted one.
     DynamicCellIndex<3> reference(1.0, 16);
     reference.ApplyUpdates(Batch<3>(300, 1), {});
@@ -297,8 +297,8 @@ TEST(StreamCheckpoint, RestoreContinuesBitIdentically) {
     reference.ApplyUpdates(Batch<3>(80, 9), erase2);
     restored.ApplyUpdates(Batch<3>(80, 9), erase2);
     EXPECT_EQ(restored.LiveIds(), reference.LiveIds());
-    ExpectIdentical(ca.Run(reference.snapshot(), 6),
-                    cb.Run(restored.snapshot(), 6),
+    ExpectIdentical(ca.Run(*reference.snapshot(), 6),
+                    cb.Run(*restored.snapshot(), 6),
                     "restored writer after further updates");
   }
 }
@@ -356,8 +356,8 @@ TEST(Journal, ReplayEqualsUninterruptedRun) {
   EXPECT_EQ(recovered.LiveIds(), live.LiveIds());
   QueryContext<2> ca, cb;
   for (const size_t min_pts : {size_t{2}, size_t{6}, size_t{25}}) {
-    ExpectIdentical(ca.Run(live.snapshot(), min_pts),
-                    cb.Run(recovered.snapshot(), min_pts),
+    ExpectIdentical(ca.Run(*live.snapshot(), min_pts),
+                    cb.Run(*recovered.snapshot(), min_pts),
                     "journal replay min_pts=" + std::to_string(min_pts));
   }
 }
@@ -673,10 +673,10 @@ TEST(ShardedPersist, SpillsShardsAndSavesMergedOnce) {
   const std::string merged_path = dir.File("merged.pdbsnap");
   sharded.Save(merged_path);
   QueryContext<2> ctx, ref_ctx;
-  const auto expected = ref_ctx.Run(sharded.index(), 7);
+  const auto expected = ref_ctx.Run(*sharded.index(), 7);
   for (const LoadMode mode : {LoadMode::kOwned, LoadMode::kMapped}) {
     auto loaded = LoadIndex<2>(merged_path, mode);
-    ExpectIdentical(expected, ctx.Run(loaded, 7), "merged reload");
+    ExpectIdentical(expected, ctx.Run(*loaded, 7), "merged reload");
   }
   // And the unsharded oracle agrees (exact config).
   ExpectIdentical(Dbscan<2>(pts, eps, 7), expected, "sharded oracle");
@@ -800,7 +800,7 @@ TEST(JournalSegments, RotationProducesAReplayableChain) {
   }
   EXPECT_EQ(recovered.LiveIds(), live.LiveIds());
   QueryContext<2> ca, cb;
-  ExpectIdentical(ca.Run(live.snapshot(), 4), cb.Run(recovered.snapshot(), 4),
+  ExpectIdentical(ca.Run(*live.snapshot(), 4), cb.Run(*recovered.snapshot(), 4),
                   "segment chain replay");
 }
 

@@ -219,7 +219,7 @@ void ShardedMatchesUnsharded(uint64_t base_seed, size_t cases,
       sharding::ShardedCellIndex<D> sharded(
           std::span<const Point<D>>(pts), epsilon, cap, shards);
       dbscan::QueryContext<D> ctx;
-      const auto got = ctx.Run(sharded.index(), c.min_pts);
+      const auto got = ctx.Run(*sharded.index(), c.min_pts);
       ASSERT_TRUE(pdbscan::testing::Identical(expected, got))
           << "sharded vs unsharded: D=" << D
           << " shape=" << static_cast<int>(c.shape) << " n=" << c.n
@@ -259,7 +259,7 @@ TEST_P(ShardedPropertySweep, ExactConnectorsOverShardedIndex2d) {
           std::span<const Point<2>>(pts), c.epsilon, 24, shards, options);
       dbscan::QueryContext<2> ctx;
       ASSERT_TRUE(pdbscan::testing::Identical(
-          expected, ctx.Run(sharded.index(), c.min_pts)))
+          expected, ctx.Run(*sharded.index(), c.min_pts)))
           << options.Name() << " shape=" << static_cast<int>(c.shape)
           << " n=" << c.n << " eps=" << c.epsilon << " minpts=" << c.min_pts
           << " shards=" << shards << " seed=" << c.seed << pdbscan::testing::SeedNote();
@@ -294,7 +294,7 @@ void PersistCase(uint64_t base_seed, size_t cases,
           live_ctx.Sweep(*live, std::span<const size_t>(sweep));
       for (const LoadMode mode : {LoadMode::kOwned, LoadMode::kMapped}) {
         auto loaded = LoadIndex<D>(path, mode);
-        const auto got = ctx.Sweep(loaded, std::span<const size_t>(sweep));
+        const auto got = ctx.Sweep(*loaded, std::span<const size_t>(sweep));
         ASSERT_EQ(expected.size(), got.size());
         for (size_t i = 0; i < sweep.size(); ++i) {
           ASSERT_TRUE(pdbscan::testing::Identical(expected[i], got[i]))
@@ -430,7 +430,6 @@ void ServingMatchesGenerationFreshRuns(uint64_t seed, size_t rounds) {
     auto index = build(rng(), eps_choices[rng() % 4]);
     EnginePool<D> pool(index);
     parallel::FakeClock clock;
-    pool.SetClock(&clock);
 
     parallel::ServingOptions opts;
     opts.num_executors = 0;  // The sweep pumps deterministically.
@@ -476,7 +475,7 @@ void ServingMatchesGenerationFreshRuns(uint64_t seed, size_t rounds) {
       dbscan::PipelineStats sink;
       QueryContext<D> fresh(&sink);
       ASSERT_TRUE(pdbscan::testing::Identical(
-          fresh.Run(by_gen.at(r.generation), m), r.clustering))
+          fresh.Run(*by_gen.at(r.generation), m), r.clustering))
           << "served response diverges from a fresh run: D=" << D
           << " seed=" << seed << " gen=" << r.generation << " minpts=" << m
           << " workers=" << workers << " cache=" << opts.cache_capacity
@@ -546,7 +545,7 @@ void CrossReplicaResponsesMatchFreshRuns(uint64_t seed, size_t rounds) {
     const size_t min_pts = 1 + rng() % 12;
     dbscan::PipelineStats sink;
     QueryContext<D> served(&sink), fresh(&sink);
-    const Clustering got = served.Run(snapshot, min_pts);
+    const Clustering got = served.Run(*snapshot, min_pts);
     ASSERT_TRUE(by_gen.count(generation) > 0) << node << " gen=" << generation;
     const auto& pts = by_gen.at(generation);
     auto reference = CellIndex<D>::Build(
@@ -687,7 +686,7 @@ void MetricShardedMatchesUnsharded(uint64_t base_seed, size_t cases,
             std::span<const Point<D>>(pts), epsilon, cap, shards, options);
         dbscan::QueryContext<D> ctx;
         ASSERT_TRUE(pdbscan::testing::Identical(
-            expected, ctx.Run(sharded.index(), c.min_pts)))
+            expected, ctx.Run(*sharded.index(), c.min_pts)))
             << MetricName(metric) << " sharded vs unsharded: D=" << D
             << " shape=" << static_cast<int>(c.shape) << " n=" << c.n
             << " eps=" << epsilon << " minpts=" << c.min_pts

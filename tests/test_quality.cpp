@@ -245,7 +245,7 @@ void CheckGoldenDataset(const std::string& name) {
       auto loaded = LoadIndex<D>(path);
       EXPECT_EQ(loaded->options().metric, metric) << context;
       QueryContext<D> ctx;
-      const Clustering got = ctx.Run(loaded, kMinPts);
+      const Clustering got = ctx.Run(*loaded, kMinPts);
       ExpectIdentical(reference, got, context + " mode=persist");
       EXPECT_EQ(quality::LabelChecksum(got.cluster), checksum)
           << context << " mode=persist";

@@ -1,8 +1,8 @@
 // Serving-scheduler contract, driven deterministically: every test that
 // exercises a timing behavior (deadline expiry, queue overflow windows,
-// coalescing batches, lease starvation) runs on a FakeClock in manual pump
-// mode — the test IS the executor, time moves only when the test says so,
-// and there is not a single real sleep in an assertion path. The threaded
+// coalescing batches) runs on a FakeClock in manual pump mode — the test
+// IS the executor, time moves only when the test says so, and there is
+// not a single real sleep in an assertion path. The threaded
 // tests at the bottom (the TSan hammer) use the real clock with no
 // deadlines, so they assert ordering-independent invariants only.
 //
@@ -11,6 +11,7 @@
 // generation the result reports — coalesced, cached, and raced responses
 // included.
 #include <atomic>
+#include <cstdint>
 #include <future>
 #include <map>
 #include <optional>
@@ -58,7 +59,6 @@ struct Harness {
         pool(index) {
     opts.num_executors = 0;  // The test pumps.
     opts.clock = &clock;
-    pool.SetClock(&clock);
     scheduler.emplace(pool, opts);
   }
 
@@ -79,7 +79,7 @@ struct Harness {
   std::optional<ServingScheduler<2>> scheduler;
 };
 
-// --- Admission and overload -------------------------------------------------
+// --- Admission ---------------------------------------------------------------
 
 TEST(ServingAdmission, RejectsNewWhenQueueFull) {
   parallel::ServingOptions opts;
@@ -108,36 +108,21 @@ TEST(ServingAdmission, RejectsNewWhenQueueFull) {
   ExpectIdentical(h.Expected(5), r2.clustering, "admitted min_pts=5");
 }
 
-TEST(ServingAdmission, DropOldestEvictsTheLongestWaiter) {
-  parallel::ServingOptions opts;
-  opts.queue_limit = 2;
-  opts.cache_capacity = 0;
-  opts.overload_policy = OverloadPolicy::kDropOldest;
-  Harness h(opts);
-
-  auto f1 = h.scheduler->SubmitAsync(3);
-  auto f2 = h.scheduler->SubmitAsync(5);
-  auto f3 = h.scheduler->SubmitAsync(10);  // Evicts f1, takes its place.
-
-  ASSERT_EQ(f1.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  const ServeResult evicted = f1.get();
-  EXPECT_EQ(evicted.status, ServeStatus::kRejected);
-  EXPECT_EQ(evicted.min_pts, 3u);
-  EXPECT_EQ(h.stats().requests_admitted.load(), 3u);
-  EXPECT_EQ(h.stats().requests_rejected.load(), 1u);
-
-  EXPECT_EQ(h.scheduler->Pump(), 2u);
-  ASSERT_EQ(f2.get().status, ServeStatus::kOk);
-  const ServeResult r3 = f3.get();
-  ASSERT_EQ(r3.status, ServeStatus::kOk);
-  ExpectIdentical(h.Expected(10), r3.clustering, "survivor min_pts=10");
-}
-
 TEST(ServingAdmission, InvalidMinPtsThrowsInsteadOfQueueing) {
   Harness h;
   EXPECT_THROW(h.scheduler->SubmitAsync(0), std::invalid_argument);
   EXPECT_EQ(h.stats().requests_admitted.load(), 0u);
   EXPECT_EQ(h.stats().requests_rejected.load(), 0u);
+}
+
+// Nothing pumps a manual-pump scheduler behind a blocking Submit, so it
+// refuses to wait instead of hanging the caller.
+TEST(ServingAdmission, BlockingSubmitThrowsInManualPumpMode) {
+  Harness h;
+  EXPECT_THROW(h.scheduler->Submit(5), std::logic_error);
+  EXPECT_THROW(h.scheduler->Submit(5, MillisToNanos(10)), std::logic_error);
+  EXPECT_EQ(h.stats().requests_admitted.load(), 0u);
+  EXPECT_EQ(h.scheduler->queue_depth(), 0u);
 }
 
 // --- Deadlines (all fake-clock; zero real waits) ----------------------------
@@ -185,74 +170,23 @@ TEST(ServingDeadlines, ExpiresMidExecutionAfterTheWorkRan) {
   EXPECT_EQ(h.pool.contexts_created(), 1u);
 }
 
-TEST(ServingDeadlines, TimesOutWhenThePoolStaysExhausted) {
+// A timeout too large to add to the clock's now saturates at "no
+// deadline" instead of wrapping around to a deadline in the past.
+TEST(ServingDeadlines, HugeTimeoutsSaturateInsteadOfWrapping) {
+  EXPECT_EQ(MillisToNanos(UINT64_MAX), kNeverNanos);
+  EXPECT_EQ(parallel::SecondsToNanos(UINT64_MAX), kNeverNanos);
+  EXPECT_EQ(MillisToNanos(7), 7'000'000u);
+
   parallel::ServingOptions opts;
   opts.cache_capacity = 0;
   Harness h(opts);
-  h.pool.SetMaxContexts(1);
-
-  // Hold the only context so the scheduler's lease wait must block.
-  auto hog = h.pool.AcquireLease();
-  auto f = h.scheduler->SubmitAsync(5, MillisToNanos(10));
-
-  std::thread pumper([&]() { h.scheduler->Pump(); });
-  h.clock.BlockUntilWaiters(1);  // The pump is parked in the lease wait.
-  h.clock.AdvanceMillis(20);     // Push it past the request deadline.
-  pumper.join();
-
-  EXPECT_EQ(f.get().status, ServeStatus::kTimedOut);
-  EXPECT_EQ(h.stats().requests_timed_out.load(), 1u);
-
-  // With the context back, the same request shape succeeds.
-  hog = EnginePool<2>::Lease();
-  auto f2 = h.scheduler->SubmitAsync(5, MillisToNanos(10));
+  auto f = h.scheduler->SubmitAsync(5, kNeverNanos - 1);
+  h.clock.AdvanceMillis(3'600'000);
   EXPECT_EQ(h.scheduler->Pump(), 1u);
-  EXPECT_EQ(f2.get().status, ServeStatus::kOk);
-}
-
-// Lease-starvation regression: the LEGACY pool surfaces must honor the
-// default lease deadline rather than wait forever on a bounded pool — one
-// stalled client used to starve every later Run/Sweep indefinitely.
-TEST(ServingDeadlines, LegacyPoolRunThrowsLeaseTimeoutInsteadOfStarving) {
-  auto pts = ServingPoints();
-  auto index = dbscan::CellIndex<2>::Build(pts, kEps, kCap);
-  EnginePool<2> pool(index);
-  FakeClock clock;
-  pool.SetClock(&clock);
-  pool.SetMaxContexts(1);
-  pool.SetDefaultLeaseDeadline(MillisToNanos(50));
-
-  auto hog = pool.AcquireLease();  // The stalled client.
-  std::atomic<bool> timed_out{false};
-  std::thread blocked([&]() {
-    try {
-      pool.Run(5);
-    } catch (const LeaseTimeout&) {
-      timed_out = true;
-    }
-  });
-  clock.BlockUntilWaiters(1);
-  clock.AdvanceMillis(100);
-  blocked.join();
-
-  EXPECT_TRUE(timed_out.load());
-  EXPECT_EQ(pool.pool_stats().requests_timed_out.load(), 1u);
-
-  // Releasing the hog un-wedges the pool: the same call now succeeds.
-  hog = EnginePool<2>::Lease();
-  EXPECT_NO_THROW(pool.Run(5));
-
-  // The non-throwing surface reports the same condition as an empty lease.
-  auto hog2 = pool.AcquireLease();
-  std::atomic<bool> empty{false};
-  std::thread blocked2([&]() {
-    auto lease = pool.TryAcquireLeaseUntil(clock.NowNanos() + MillisToNanos(5));
-    empty = !lease;
-  });
-  clock.BlockUntilWaiters(1);
-  clock.AdvanceMillis(10);
-  blocked2.join();
-  EXPECT_TRUE(empty.load());
+  const ServeResult r = f.get();
+  ASSERT_EQ(r.status, ServeStatus::kOk);
+  ExpectIdentical(h.Expected(5), r.clustering, "huge timeout");
+  EXPECT_EQ(h.stats().requests_timed_out.load(), 0u);
 }
 
 // --- Coalescing -------------------------------------------------------------
@@ -478,31 +412,7 @@ TEST(ServingCache, CompactEntriesExpandBitIdentically) {
   EXPECT_FALSE(parallel::CompactClustering::Compress(Clustering{}).has_value());
 }
 
-// --- Async surfaces and shutdown --------------------------------------------
-
-TEST(ServingAsync, CallbackRunsExactlyOnceWithTheResult) {
-  parallel::ServingOptions opts;
-  opts.cache_capacity = 8;
-  Harness h(opts);
-
-  std::vector<ServeResult> delivered;
-  h.scheduler->SubmitCallback(
-      5, [&](ServeResult r) { delivered.push_back(std::move(r)); });
-  EXPECT_TRUE(delivered.empty());  // Queued, not yet executed.
-  h.scheduler->Pump();
-  ASSERT_EQ(delivered.size(), 1u);
-  ASSERT_EQ(delivered[0].status, ServeStatus::kOk);
-  ExpectIdentical(h.Expected(5), delivered[0].clustering, "callback result");
-
-  // A cache hit invokes the callback on the submitting thread, before
-  // SubmitCallback returns.
-  h.scheduler->SubmitCallback(
-      5, [&](ServeResult r) { delivered.push_back(std::move(r)); });
-  ASSERT_EQ(delivered.size(), 2u);
-  EXPECT_TRUE(delivered[1].from_cache);
-  ExpectIdentical(delivered[0].clustering, delivered[1].clustering,
-                  "cached callback result");
-}
+// --- Shutdown ---------------------------------------------------------------
 
 TEST(ServingShutdown, FailsPendingAndRefusesNewRequests) {
   parallel::ServingOptions opts;

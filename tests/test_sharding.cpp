@@ -112,12 +112,12 @@ TEST(ShardedCellIndex, EmptyAndTinyInputs) {
   EXPECT_EQ(none.num_points(), 0u);
   EXPECT_EQ(none.num_cells(), 0u);
   dbscan::QueryContext<2> ctx;
-  EXPECT_EQ(ctx.Run(none.index(), 3).size(), 0u);
+  EXPECT_EQ(ctx.Run(*none.index(), 3).size(), 0u);
 
   const std::vector<Point<2>> one = {{{2.5, 3.5}}};
   ShardedCellIndex<2> single(one, 1.0, 10, 4);
   EXPECT_EQ(single.num_points(), 1u);
-  const Clustering c = ctx.Run(single.index(), 1);
+  const Clustering c = ctx.Run(*single.index(), 1);
   EXPECT_EQ(c.num_clusters, 1u);  // min_pts = 1: everything is core.
 }
 
@@ -161,7 +161,7 @@ void ExpectShardedIdentical(const std::vector<Point<D>>& pts, double epsilon,
   const Clustering expected = Dbscan<D>(pts, epsilon, min_pts);
   ShardedCellIndex<D> sharded(pts, epsilon, counts_cap, num_shards);
   dbscan::QueryContext<D> ctx;
-  ExpectIdentical(expected, ctx.Run(sharded.index(), min_pts), context);
+  ExpectIdentical(expected, ctx.Run(*sharded.index(), min_pts), context);
 }
 
 TEST(ShardedDbscan, ClusterSpanningManyShards) {
@@ -181,7 +181,7 @@ TEST(ShardedDbscan, ClusterSpanningManyShards) {
   ASSERT_GE(sharded.num_shards(), 3u);
   EXPECT_GT(sharded.build_info().seam_links, 0u);
   dbscan::QueryContext<2> ctx;
-  const Clustering got = ctx.Run(sharded.index(), 4);
+  const Clustering got = ctx.Run(*sharded.index(), 4);
   ExpectIdentical(expected, got, "spanning cluster");
   // The polyline really is one cluster (sanity of the construction).
   EXPECT_EQ(got.cluster[0], got.cluster[599]);
@@ -238,7 +238,7 @@ TEST(ShardedDbscan, OneShardEqualsPlainBuild) {
   EXPECT_EQ(sharded.build_info().boundary_cells, 0u);
   EXPECT_EQ(sharded.build_info().seam_links, 0u);
   dbscan::QueryContext<2> ctx;
-  ExpectIdentical(expected, ctx.Run(sharded.index(), 10), "one shard");
+  ExpectIdentical(expected, ctx.Run(*sharded.index(), 10), "one shard");
 }
 
 TEST(ShardedDbscan, MinPtsAboveCountsCapRecountsExactly) {
@@ -278,7 +278,7 @@ TEST(ShardedDbscan, MatchesBruteForceOracle) {
       BruteForceDbscan<2>(std::span<const Point<2>>(pts), 1.0, 6);
   ShardedCellIndex<2> sharded(pts, 1.0, 16, 4);
   dbscan::QueryContext<2> ctx;
-  EXPECT_TRUE(SameClustering(oracle, ctx.Run(sharded.index(), 6)));
+  EXPECT_TRUE(SameClustering(oracle, ctx.Run(*sharded.index(), 6)));
 }
 
 // --- Serving: EnginePool lease + ShardedClusterer facade -------------------

@@ -217,12 +217,12 @@ TEST(Streaming, PinnedSnapshotsSurviveLaterUpdates) {
   const auto pts_v1 = stream.LivePoints();
   dbscan::PipelineStats stats;
   dbscan::QueryContext<2> ctx(&stats);
-  const Clustering before = ctx.Run(snap_v1, 6);
+  const Clustering before = ctx.Run(*snap_v1, 6);
 
   stream.Insert(BlobPoints<2>(300, 2, 18.0, 0.8, 37));
   stream.Erase(std::vector<uint64_t>{1, 2, 3});
   // The pinned snapshot still answers identically…
-  ExpectIdentical(before, ctx.Run(snap_v1, 6), "pinned snapshot");
+  ExpectIdentical(before, ctx.Run(*snap_v1, 6), "pinned snapshot");
   ASSERT_TRUE(SameClustering(Dbscan<2>(pts_v1, eps, 6), before));
   // …while the stream serves the new state.
   ASSERT_TRUE(SameClustering(Dbscan<2>(stream.LivePoints(), eps, 6),

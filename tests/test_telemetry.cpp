@@ -520,7 +520,6 @@ struct Harness {
         pool(index) {
     opts.num_executors = 0;  // The test pumps.
     opts.clock = &clock;
-    pool.SetClock(&clock);
     scheduler.emplace(pool, opts);
   }
 

@@ -64,7 +64,7 @@ void Usage() {
       "  [--dim D] [--counts-cap C] [--port N] [--port-file PATH]\n"
       "  [--checkpoint-every N] [--rotate-bytes N] [--keep-checkpoints N]\n"
       "  [--poll-ms N] [--queue-limit N] [--timeout-ms N]\n"
-      "  [--cache-capacity N] [--num-executors N] [--workers N]\n"
+      "  [--cache-capacity N] [--num-executors N>=1] [--workers N]\n"
       "  [--trace] [--slow-query-ms N]\n");
   std::exit(2);
 }
@@ -96,7 +96,10 @@ bool ParseArgs(int argc, char** argv, Args* out) {
     else if (flag == "--slow-query-ms") out->slow_query_ms = std::strtoull(next(), nullptr, 10);
     else Usage();
   }
-  return !out->mode.empty() && !out->dir.empty() && out->eps > 0;
+  // Network queries block on the scheduler's executors: a server without
+  // one would hang every query.
+  return !out->mode.empty() && !out->dir.empty() && out->eps > 0 &&
+         out->num_executors > 0;
 }
 
 // Written atomically so a polling harness never reads a partial number.
