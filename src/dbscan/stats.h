@@ -73,7 +73,7 @@ namespace pdbscan::dbscan {
 //   cost is proportional to the delta, not the dataset" is measurable as
 //   journal_records_replayed (and the journal's share of
 //   snapshot_bytes_read) staying small relative to the snapshot size;
-//   bench/throughput_persist.cpp reports all of them.
+//   tests/test_persist.cpp's DurableRecovery.* cases pin the replay count.
 // * Serving scheduler (parallel/serving_scheduler.h) admission accounting.
 //   requests_admitted counts submits that entered the queue (or were
 //   cache-served at admission); requests_rejected counts newcomers refused

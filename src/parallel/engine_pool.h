@@ -41,8 +41,8 @@
 // scheduler (scheduler.h), which accepts submissions from any thread, so
 // client concurrency composes with PDBSCAN_NUM_THREADS. For maximum
 // queries/sec with many clients, run the scheduler with 1 worker (each
-// query executes serially on its client thread; see
-// bench/throughput_concurrent.cpp); a single client with many workers gets
+// query executes serially on its client thread; perfbench's serve_2d
+// workload measures this); a single client with many workers gets
 // minimum latency instead. Do not call parallel::set_num_workers() while
 // pool queries are in flight.
 //

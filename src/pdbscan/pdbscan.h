@@ -105,7 +105,7 @@
 // configurations produce labels bit-identical to an unsharded run at any
 // worker count. Merge work is proportional to the boundary-cell count, not
 // the dataset (shard_boundary_cells / shard_seam_links in the stats sink;
-// bench/throughput_sharded.cpp enforces the proportionality by exit code).
+// test_sharding's ShardedCellIndex.* cases enforce the proportionality).
 // See sharding/shard_planner.h and sharding/sharded_cell_index.h.
 //
 // Quickstart (persistence — survive restarts, cold-start in milliseconds):
@@ -285,8 +285,8 @@ using ShardedClusterer = sharding::ShardedClusterer<D>;
 //   // q.ari, q.nmi, q.predicted_noise_ratio, q.cluster_size_histogram,
 //   // q.label_checksum (FNV-1a over the labels — what golden tests pin).
 //
-// pdbscan_cli --quality <labels-file> prints the same report, and
-// tools/bench_runner.py embeds it in every benchmark trajectory record.
+// pdbscan_cli --quality <labels-file> prints the same report to stderr;
+// test_quality's GoldenCorpus.* cases pin it on the golden-label corpus.
 using QualityReport = quality::QualityReport;
 using quality::AdjustedRandIndex;
 using quality::ClusterSizeHistogram;
@@ -355,9 +355,9 @@ using UpdateJournal = persist::UpdateJournal<D>;
 // eps, min_pts) are bit-identical no matter which node answered —
 // generation numbers name dataset states (batches applied + 1), shared by
 // every node through the checkpoint/journal pairing. tools/
-// pdbscan_server.cpp is the ready-made node binary; bench/
-// throughput_remote.cpp enforces the contract by exit code across real
-// processes. See net/replication.h, net/server.h, net/protocol.h.
+// pdbscan_server.cpp is the ready-made node binary; test_net's
+// *MultiProcess* cases enforce the contract across real processes. See
+// net/replication.h, net/server.h, net/protocol.h.
 
 template <int D>
 using WriterNode = net::WriterNode<D>;

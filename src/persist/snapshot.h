@@ -23,8 +23,8 @@
 // Either way the rehydrated index goes through the SAME CellIndex
 // adoption constructor the streaming and sharded producers use, so queries
 // against it are bit-identical to the index that was saved
-// (tests/test_persist.cpp and bench/throughput_persist.cpp enforce this by
-// assertion and exit code).
+// (tests/test_persist.cpp's SnapshotRoundTrip.* enforce this for both
+// load modes).
 //
 // Corruption safety: magic + version + endianness probe + independent
 // header/payload checksums + exact size accounting (see persist/format.h).

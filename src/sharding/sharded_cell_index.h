@@ -32,7 +32,7 @@
 //      adjacency. Merge work is proportional to the number of boundary
 //      cells, never the dataset: shard_boundary_cells / shard_seam_links /
 //      shard_merge_seconds in the stats sink make that measurable, and
-//      bench/throughput_sharded.cpp enforces it by exit code.
+//      tests/test_sharding.cpp enforces it (ShardedCellIndex.*).
 //
 // The merged (structure, counts) pair then freezes through the same
 // adoption constructor the streaming path uses, producing a CellIndex that

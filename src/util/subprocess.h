@@ -1,7 +1,8 @@
-// Minimal fork/exec helpers for the multi-process serving tests and
-// bench/throughput_remote: spawn a real child process (pdbscan_server),
-// discover its ephemeral port through a port file, and kill it — politely
-// (SIGTERM) or mid-flight (SIGKILL, the fault-injection path).
+// Minimal fork/exec helpers for the multi-process serving tests (the
+// *MultiProcess* cases of tests/test_net.cpp): spawn a real child process
+// (pdbscan_server), discover its ephemeral port through a port file, and
+// kill it — politely (SIGTERM) or mid-flight (SIGKILL, the fault-injection
+// path).
 #ifndef PDBSCAN_UTIL_SUBPROCESS_H_
 #define PDBSCAN_UTIL_SUBPROCESS_H_
 

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <random>
 #include <span>
@@ -904,6 +905,83 @@ TEST_F(MultiProcessTest, KillAndRestartWriterContinuesTheLog) {
   ExpectResponseMatches(resp, mirror.Run(4), "writer restart over wire");
   net::Client(wport).Shutdown();
   writer.Wait();
+}
+
+// Replica answers on a MOVING generation: 2 client threads query a replica
+// process while the writer keeps taking batches, so responses land on
+// whatever generation the replica has tailed to. Each one must equal the
+// local mirror's clustering at the generation it reports.
+TEST_F(MultiProcessTest, ReplicaServesWhileTheWriterAdvances) {
+  TempDir dir("mp_moving");
+  util::ChildProcess writer = SpawnServer("writer", dir, "wport");
+  const uint16_t wport = util::ReadPortFile(dir.File("wport"));
+  const std::vector<size_t> minpts_list = {3, 6};
+
+  // One reference per (generation, min_pts), recorded as the mirror moves.
+  StreamingClusterer<2> mirror(kEps, kCountsCap);
+  std::map<uint64_t, std::map<size_t, Clustering>> reference;
+  net::Client wclient(wport);
+  auto apply = [&](uint64_t seed) {
+    net::UpdateRequest<2> req;
+    req.inserts = Batch(seed);
+    const net::UpdateResponse resp = wclient.Update<2>(req);
+    mirror.ApplyUpdates(std::span<const Point<2>>(req.inserts), {});
+    ASSERT_EQ(resp.generation, mirror.generation());
+    for (const size_t m : minpts_list) {
+      reference[mirror.generation()][m] = mirror.Run(m);
+    }
+  };
+  for (uint64_t s = 900; s < 903; ++s) apply(s);
+
+  util::ChildProcess replica = SpawnServer("replica", dir, "rport");
+  const uint16_t rport = util::ReadPortFile(dir.File("rport"));
+  {
+    net::Client probe(rport);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (probe.Info().generation < mirror.generation()) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "replica never caught up";
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+
+  struct Served {
+    size_t min_pts;
+    net::QueryResponse resp;
+  };
+  // The clients query until the writer has taken 8 more batches.
+  std::vector<std::vector<Served>> served(2);
+  std::atomic<bool> writer_done{false};
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < served.size(); ++c) {
+    clients.emplace_back([&, c]() {
+      net::Client client(rport);
+      for (size_t q = 0; q < 4 || !writer_done.load(); ++q) {
+        const size_t m = minpts_list[(c + q) % minpts_list.size()];
+        served[c].push_back(Served{m, client.Query(m)});
+      }
+    });
+  }
+  for (uint64_t s = 903; s < 911; ++s) apply(s);
+  writer_done.store(true);
+  for (auto& t : clients) t.join();
+
+  for (const auto& mine : served) {
+    for (const Served& s : mine) {
+      const auto gen = reference.find(s.resp.generation);
+      ASSERT_NE(gen, reference.end())
+          << "replica reported unknown generation " << s.resp.generation;
+      ExpectResponseMatches(s.resp, gen->second.at(s.min_pts),
+                            "replica at generation " +
+                                std::to_string(s.resp.generation));
+    }
+  }
+
+  net::Client(wport).Shutdown();
+  const int status = writer.Wait();
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 }  // namespace

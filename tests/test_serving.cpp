@@ -508,5 +508,67 @@ TEST(ServingHammer, MixedClientsWithConcurrentWriterStayBitIdentical) {
   EXPECT_LE(s.queue_depth_peak.load(), kClients);
 }
 
+// Overload on the real clock: a 4-deep queue, a real 200 ms deadline and one
+// executor behind 8 clients, so rejections and timeouts may fire. Every
+// submit resolves as exactly one of ok / rejected / timed out, the counters
+// agree with what the clients saw, and every kOk response is bit-identical
+// to the solo EnginePool::Run reference. Runs under TSan in CI.
+TEST(ServingHammer, OverloadedQueueAccountsForEverySubmit) {
+  constexpr size_t kClients = 8;
+  constexpr size_t kRounds = 12;
+  const std::vector<size_t> minpts_list = {3, 5, 10, 25};
+
+  const auto pts = ServingPoints();
+  EnginePool<2> pool(dbscan::CellIndex<2>::Build(pts, kEps, kCap));
+  std::map<size_t, Clustering> truth;
+  for (const size_t m : minpts_list) truth[m] = pool.Run(m);
+
+  parallel::ServingOptions opts;
+  opts.queue_limit = 4;
+  opts.default_timeout_nanos = MillisToNanos(200);
+  opts.cache_capacity = 0;  // Every admitted request executes.
+  opts.num_executors = 1;
+  ServingScheduler<2> scheduler(pool, opts);
+
+  std::atomic<size_t> ok{0}, rejected{0}, timed_out{0};
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t]() {
+      for (size_t r = 0; r < kRounds; ++r) {
+        const size_t m = minpts_list[(t + r) % minpts_list.size()];
+        const ServeResult result = scheduler.Submit(m);
+        switch (result.status) {
+          case ServeStatus::kOk:
+            ExpectIdentical(truth.at(m), result.clustering,
+                            "client " + std::to_string(t) + " min_pts " +
+                                std::to_string(m));
+            ok.fetch_add(1);
+            break;
+          case ServeStatus::kRejected:
+            rejected.fetch_add(1);
+            break;
+          case ServeStatus::kTimedOut:
+            timed_out.fetch_add(1);
+            break;
+          case ServeStatus::kShutdown:
+            ADD_FAILURE() << "shutdown before the clients finished";
+            break;
+        }
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  scheduler.Shutdown();
+
+  const auto& s = scheduler.serving_stats();
+  EXPECT_EQ(ok.load() + rejected.load() + timed_out.load(),
+            kClients * kRounds);
+  EXPECT_EQ(s.requests_admitted.load() + s.requests_rejected.load(),
+            kClients * kRounds);
+  EXPECT_EQ(s.requests_rejected.load(), rejected.load());
+  EXPECT_EQ(s.requests_timed_out.load(), timed_out.load());
+  EXPECT_LE(s.queue_depth_peak.load(), opts.queue_limit);
+}
+
 }  // namespace
 }  // namespace pdbscan

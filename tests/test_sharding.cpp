@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "data/seed_spreader.h"
 #include "dbscan/verify.h"
 #include "pdbscan/pdbscan.h"
 #include "testing_util.h"
@@ -148,6 +149,24 @@ TEST(ShardedCellIndex, EveryCellIsInteriorOrBoundaryExactlyOnce) {
   }
   EXPECT_EQ(sum_points, sharded.num_points());
   EXPECT_EQ(sum_cells, sharded.num_cells());
+}
+
+// The merge recounts only the seam: at every shard count the boundary cells
+// stay a minority of all cells, and more seams never mean fewer of them.
+// 2D SS-varden at eps 300 spans ~450 lattice columns, so even 16 slabs are
+// far wider than the halo.
+TEST(ShardedCellIndex, SeamStaysSmallAndGrowsWithShardCount) {
+  const auto pts = data::SsVarden<2>(5000);
+  size_t prev_boundary = 0;
+  for (const size_t shards : {1u, 2u, 4u, 8u, 16u}) {
+    ShardedCellIndex<2> sharded(pts, 300.0, 100, shards);
+    const ShardBuildInfo& info = sharded.build_info();
+    EXPECT_LT(info.boundary_cells * 2, sharded.num_cells())
+        << shards << " shards";
+    EXPECT_GE(info.boundary_cells, prev_boundary) << shards << " shards";
+    prev_boundary = info.boundary_cells;
+  }
+  EXPECT_GT(prev_boundary, 0u);  // The cuts cross populated space.
 }
 
 // --- Bit-identity on seam-adversarial geometries ---------------------------

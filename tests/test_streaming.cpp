@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -173,6 +174,32 @@ TEST(Streaming, SmallBatchRebuildsOnlyDirtyNeighborhood) {
   // Cumulative counters land in the writer's stats sink.
   EXPECT_EQ(stream.update_stats().snapshots_published.load(), 4u);
   EXPECT_GT(stream.update_stats().cells_retained.load(), 0u);
+
+  // Insert B jittered copies and erase the B oldest points, B growing 10x
+  // per step: the rebuilt cells track the batch footprint, so they never
+  // shrink as B grows and the smallest batch stays well under the total.
+  // Every snapshot clusters bit-identically to a from-scratch run.
+  std::mt19937_64 rng(7);
+  const auto base = stream.LivePoints();
+  uint64_t erase_cursor = 1;  // Id 0 is already erased above.
+  size_t prev_rebuilt = 0;
+  for (const size_t batch : {4u, 40u, 400u}) {
+    std::vector<Point<2>> ins(batch);
+    for (auto& p : ins) {
+      const auto& b = base[rng() % base.size()];
+      p = {{b[0] + double(rng() % 100) / 1000.0,
+            b[1] + double(rng() % 100) / 1000.0}};
+    }
+    std::vector<uint64_t> del(batch);
+    for (auto& id : del) id = erase_cursor++;
+    stream.ApplyUpdates(ins, del);
+    const size_t rebuilt = stream.last_update().cells_rebuilt;
+    if (batch == 4) EXPECT_LT(rebuilt * 2, total_cells);
+    EXPECT_GE(rebuilt, prev_rebuilt) << "batch " << batch;
+    prev_rebuilt = rebuilt;
+    ExpectIdentical(Dbscan<2>(stream.LivePoints(), eps, 10), stream.Run(10),
+                    "batch " + std::to_string(batch));
+  }
 }
 
 // Emptying a cell entirely must recount the cells that used to neighbor it
