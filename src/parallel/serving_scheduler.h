@@ -644,18 +644,25 @@ class ServingScheduler {
     const uint64_t now = clock_->NowNanos();
     for (Request& r : batch) {
       ServeResult result;
-      result.min_pts = r.min_pts;
-      if (r.deadline_nanos != kNeverNanos && r.deadline_nanos <= now) {
-        stats_->requests_timed_out.fetch_add(1, std::memory_order_relaxed);
-        result.status = ServeStatus::kTimedOut;
-      } else {
-        result.status = ServeStatus::kOk;
-        const size_t i = static_cast<size_t>(
-            std::lower_bound(distinct.begin(), distinct.end(), r.min_pts) -
-            distinct.begin());
-        result.clustering = swept[i];  // Waiter's own copy.
-        result.generation = generation;
-        result.coalesced = batch.size() > 1;
+      {
+        // The copy is this waiter's own work: it is traced under the
+        // waiter's request, and its span closes before the waiter wakes.
+        telemetry::ScopedTraceContext waiter_ctx(r.trace_id,
+                                                 r.parent_span_id);
+        telemetry::TraceSpan span("result_copy");
+        result.min_pts = r.min_pts;
+        if (r.deadline_nanos != kNeverNanos && r.deadline_nanos <= now) {
+          stats_->requests_timed_out.fetch_add(1, std::memory_order_relaxed);
+          result.status = ServeStatus::kTimedOut;
+        } else {
+          result.status = ServeStatus::kOk;
+          const size_t i = static_cast<size_t>(
+              std::lower_bound(distinct.begin(), distinct.end(), r.min_pts) -
+              distinct.begin());
+          result.clustering = swept[i];  // Waiter's own copy.
+          result.generation = generation;
+          result.coalesced = batch.size() > 1;
+        }
       }
       Deliver(r, std::move(result));
     }

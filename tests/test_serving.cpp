@@ -561,8 +561,8 @@ TEST(ServingHammer, OverloadedQueueAccountsForEverySubmit) {
   scheduler.Shutdown();
 
   const auto& s = scheduler.serving_stats();
-  EXPECT_EQ(ok.load() + rejected.load() + timed_out.load(),
-            kClients * kRounds);
+  // With the cache off every admitted request resolves kOk or kTimedOut.
+  EXPECT_EQ(s.requests_admitted.load(), ok.load() + timed_out.load());
   EXPECT_EQ(s.requests_admitted.load() + s.requests_rejected.load(),
             kClients * kRounds);
   EXPECT_EQ(s.requests_rejected.load(), rejected.load());

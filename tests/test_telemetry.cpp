@@ -661,6 +661,7 @@ TEST_F(TelemetryNetTest, TracedQueryReturnsSpansAccountingForWallClock) {
   EXPECT_TRUE(has("serve_request"));
   EXPECT_TRUE(has("queue_wait"));
   EXPECT_TRUE(has("coalesced_sweep"));
+  EXPECT_TRUE(has("result_copy"));
   EXPECT_TRUE(has("mark_core"));
   EXPECT_TRUE(has("cluster_core"));
 
