@@ -5,7 +5,7 @@
 //
 // The two states exist because the DBSCAN pipeline has exactly two phases
 // with different needs: builders (BuildGrid, BuildBoxCells, the streaming
-// recomposition, the sharded merge) mutate arrays freely, while the frozen
+// recomposition) mutate arrays freely, while the frozen
 // serving structures (CellIndex) only ever read them. An owning FlatArray
 // behaves like std::vector for the subset of the API the builders use; a
 // viewing FlatArray is the same bytes without the copy — the reader of a

@@ -147,8 +147,7 @@ class CellIndex {
   //   * streaming::DynamicCellIndex, which recomposes `cells` incrementally
   //     (dirty cells re-grouped, clean cells retained) and recounts only
   //     the dirty eps-neighborhood, copying every other cell's counts from
-  //     the previous snapshot — and the sharded merge, which concatenates
-  //     per-shard builds. Both pass owning arrays and kScan options.
+  //     the previous snapshot. It passes owning arrays and kScan options.
   //   * persist::SnapshotReader, which rehydrates a saved index — either
   //     copying the arrays out of the file (owned load) or pointing them at
   //     the file mapping (zero-copy mmap load). `payload` then pins the
@@ -162,10 +161,10 @@ class CellIndex {
   // the index that was saved) — an O(n) cost, which is why the incremental
   // streaming producer restricts itself to kScan in its own constructor.
   // No build counters tick here: the producer accounts for what it rebuilt
-  // vs. retained in its own sink, so `stats` is accepted but unused.
+  // vs. retained in its own sink.
   CellIndex(CellStructure<D> cells,
             containers::FlatArray<uint32_t> neighbor_counts, size_t counts_cap,
-            Options options = Options(), PipelineStats* /*stats*/ = nullptr,
+            Options options = Options(),
             std::shared_ptr<const void> payload = nullptr)
       : epsilon_(cells.epsilon),
         counts_cap_(counts_cap),

@@ -44,8 +44,8 @@ struct CellStructure {
   // Distance metric the structure was built for: the cell side, the CSR
   // neighbor adjacency, and every downstream distance comparison (MarkCore,
   // BCP, border assignment) depend on it. Builders that hand-assemble a
-  // structure (streaming recompose, sharded merge, snapshot load) must set
-  // it to match the producing Options.
+  // structure (streaming recompose, snapshot load) must set it to match the
+  // producing Options.
   Metric metric = Metric::kL2;
 
   // Points reordered so each cell's points are contiguous; orig_index maps a

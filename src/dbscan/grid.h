@@ -51,10 +51,10 @@ bool SameRow(const geometry::CellCoords<D>& a,
   return true;
 }
 
-// The neighbor finder for every D: candidate cells sorted by coordinates
-// and split into rows (cells sharing all but the last coordinate), built
-// once and swept any number of times (the CSR build sweeps twice: count,
-// then fill). Cell ids are untouched; the sort only permutes this side
+// The neighbor finder for every D: the cells sorted by coordinates and
+// split into rows (cells sharing all but the last coordinate), built once
+// and swept any number of times (the CSR build sweeps twice: count, then
+// fill). Cell ids are untouched; the sort only permutes this side
 // structure.
 //
 // The sorted row keys form a trie over axes 0..D-2. A source row with
@@ -67,15 +67,14 @@ bool SameRow(const geometry::CellCoords<D>& a,
 template <int D>
 class RowSweep {
  public:
-  RowSweep(const CellStructure<D>& cells, std::span<const uint32_t> ids)
-      : metric_(cells.metric) {
+  explicit RowSweep(const CellStructure<D>& cells) : metric_(cells.metric) {
     using geometry::CellCoords;
-    const size_t m = ids.size();
+    const size_t m = cells.num_cells();
     std::vector<std::pair<CellCoords<D>, uint32_t>> sorted(m);
-    parallel::parallel_for(0, m, [&](size_t i) {
-      sorted[i] = {cells.coords[ids[i]], static_cast<uint32_t>(i)};
+    parallel::parallel_for(0, m, [&](size_t c) {
+      sorted[c] = {cells.coords[c], static_cast<uint32_t>(c)};
     });
-    // Coordinates are distinct, so the order never consults the position.
+    // Coordinates are distinct, so the order never consults the cell id.
     primitives::ParallelSort(sorted);
     pos_.resize(m);
     last_.resize(m);
@@ -93,8 +92,9 @@ class RowSweep {
     row_start_.push_back(m);
   }
 
-  // Invokes emit(i, j) for every neighbor pair of positions into `ids`.
-  // Tasks take blocks of source rows (a long row splits into segments).
+  // Invokes emit(i, j) for every ordered pair of cells i != j whose boxes
+  // are within epsilon. Tasks take blocks of source rows (a long row splits
+  // into segments), so emit must tolerate concurrent calls with distinct i.
   // For each i, the calls come from one task, in ascending lexicographic
   // order of the target cells' coordinates.
   template <typename Emit>
@@ -194,7 +194,7 @@ class RowSweep {
   }
 
   Metric metric_;
-  std::vector<uint32_t> pos_;      // Sorted rank -> position in ids.
+  std::vector<uint32_t> pos_;      // Sorted rank -> cell id.
   std::vector<int64_t> last_;      // Sorted rank -> last coordinate.
   std::vector<size_t> row_start_;  // Row r holds ranks [start[r], start[r+1]).
   std::vector<geometry::CellCoords<D>> row_key_;  // First cell of each row.
@@ -235,30 +235,13 @@ double GridSide(double epsilon, Metric metric = Metric::kL2) {
   return epsilon / std::sqrt(double(D));
 }
 
-// Invokes emit(i, j) for every ordered pair of positions i != j into `ids`
-// such that cells ids[i] and ids[j] can contain points within epsilon of
-// each other (the exact integer criterion of AxisCost, metric.h, over
-// cells.coords), through one row-sweep walk for every D. Rows run in
-// parallel: emit must tolerate concurrent calls with distinct i. All calls
-// for one i run serially, from the task sweeping i's row, in ascending
-// lexicographic order of the target cells' coordinates. This is the ONE
-// place the neighbor search lives — shared by BuildGridAdjacency (ids =
-// every cell) and the sharded boundary merge (ids = seam cells only), so
-// the two cannot diverge.
-template <int D, typename Emit>
-void ForEachNeighborAmong(const CellStructure<D>& cells,
-                          std::span<const uint32_t> ids, Emit&& emit) {
-  if (ids.empty()) return;
-  internal::RowSweep<D>(cells, ids).ForEach(emit);
-}
-
 // Fills the CSR neighbor adjacency of `cells` from cells.coords: for every
-// cell, all other cells whose boxes are within epsilon, in the order
-// ForEachNeighborAmong emits them. Factored out of BuildGrid so the
-// streaming DynamicCellIndex can re-derive adjacency for an incrementally
-// recomposed structure through the same code path. The row sweep runs
-// twice and writes the CSR in place: count, scan, fill through per-cell
-// cursors.
+// cell, all other cells whose boxes are within epsilon (the exact integer
+// criterion of AxisCost, metric.h), in ascending lexicographic order of
+// their coordinates. Factored out of BuildGrid so the streaming
+// DynamicCellIndex can re-derive adjacency for an incrementally recomposed
+// structure through the same code path. The row sweep runs twice and
+// writes the CSR in place: count, scan, fill through per-cell cursors.
 template <int D>
 void BuildGridAdjacency(CellStructure<D>& cells) {
   telemetry::TraceSpan span("grid_adjacency");
@@ -268,11 +251,7 @@ void BuildGridAdjacency(CellStructure<D>& cells) {
     cells.nbrs.clear();
     return;
   }
-  std::vector<uint32_t> all(num_cells);
-  parallel::parallel_for(0, num_cells,
-                         [&](size_t c) { all[c] = static_cast<uint32_t>(c); });
-  // Positions into `all` are cell ids, so (i, j) is a cell pair directly.
-  const internal::RowSweep<D> sweep(cells, std::span<const uint32_t>(all));
+  const internal::RowSweep<D> sweep(cells);
   cells.nbr_offsets.assign(num_cells + 1, 0);
   size_t* const offsets = cells.nbr_offsets.data();
   sweep.ForEach([&](size_t i, size_t) { ++offsets[i]; });
@@ -292,10 +271,7 @@ void BuildGridAdjacency(CellStructure<D>& cells) {
 // `bounds_hint`, when non-null, skips the reduction pass; its `min` corner
 // becomes the grid anchor origin and is the ONLY field read, so any box
 // containing `input` is valid. BuildCells passes ComputeBounds of the full
-// point set; the sharded build deliberately passes the GLOBAL
-// dataset bounds with a shard-subset input so every shard lands on the
-// single-index lattice. Do not start reading other fields of the hint
-// without revisiting those callers.
+// point set, cached across epsilon changes.
 template <int D>
 CellStructure<D> BuildGrid(std::span<const geometry::Point<D>> input,
                            double epsilon,

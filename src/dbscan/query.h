@@ -6,8 +6,8 @@
 // one-shot RunDbscan, DbscanEngine and EnginePool all hold a context and a
 // frozen CellIndex, which is what makes their results bit-identical. The
 // CellIndex may be a full build, a streaming snapshot published by
-// streaming::DynamicCellIndex, a sharded merge or a loaded snapshot — the
-// pipeline only sees (cells, counts), so it runs off any of them unchanged.
+// streaming::DynamicCellIndex or a loaded snapshot — the pipeline only sees
+// (cells, counts), so it runs off any of them unchanged.
 //
 // Everything here reads `cells` and `counts` as const and writes only into
 // the caller's Workspace and stats sink, so any number of calls may run

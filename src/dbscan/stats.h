@@ -59,14 +59,6 @@ namespace pdbscan::dbscan {
 //   other cell's counts are copied from the previous snapshot
 //   (cells_retained). "Update cost scales with the dirty footprint" is
 //   exactly cells_rebuilt << cells_rebuilt + cells_retained.
-// * Sharded builds (sharding/sharded_cell_index.h): per-shard structures
-//   built (shards_built), and the boundary-merge accounting. A merged build
-//   counts every cell exactly once — interior cells inside their shard
-//   (shard_interior_cells), seam-adjacent cells in the merge stage
-//   (shard_boundary_cells) — and records every cross-seam adjacency edge it
-//   adds (shard_seam_links). "Merge work scales with the seam, not the
-//   dataset" is exactly shard_boundary_cells << shard_interior_cells +
-//   shard_boundary_cells.
 // * Persistence (persist/): bytes written by snapshot/journal producers,
 //   bytes read back by loaders and journal scans, and journal records
 //   replayed into a restored DynamicCellIndex during recovery. "Recovery
@@ -105,25 +97,14 @@ namespace pdbscan::dbscan {
 //                            (validation plus owned-mode copies; the mmap
 //                            path makes this the headline "cold start in
 //                            milliseconds" number).
-//     build_cells_seconds    build_cells (CellIndex), streaming_recompose,
-//                            and the sharded shard_build, shard_recompose
-//                            and seam-discovery shard_merge spans.
+//     build_cells_seconds    build_cells (CellIndex) and
+//                            streaming_recompose.
 //     mark_core_seconds      mark_core_counts (CellIndex, and a context's
 //                            over-cap recount), mark_core (core flags +
-//                            core index, per query), streaming_recount, and
-//                            the sharded shard_count and seam-recount
-//                            shard_merge spans.
+//                            core index, per query) and streaming_recount.
 //     cluster_core_seconds   cluster_core.
 //     cluster_border_seconds cluster_border.
 //     finalize_seconds       finalize.
-//     shard_merge_seconds    the two shard_merge spans of a sharded build:
-//                            cross-seam adjacency discovery, then the
-//                            boundary-cell recount. It is an overlay, not a
-//                            new stage: the same spans are also attributed
-//                            to build_cells_seconds and mark_core_seconds so
-//                            stage totals stay comparable with unsharded
-//                            builds — don't add it into a sum of the
-//                            per-stage fields.
 #define PDBSCAN_PIPELINE_STATS_FIELDS(COUNTER, MAX_GAUGE, SECONDS) \
   COUNTER(connectivity_queries)                                   \
   COUNTER(pruned_queries)                                         \
@@ -135,10 +116,6 @@ namespace pdbscan::dbscan {
   COUNTER(cells_rebuilt)                                          \
   COUNTER(cells_retained)                                         \
   COUNTER(snapshots_published)                                    \
-  COUNTER(shards_built)                                           \
-  COUNTER(shard_interior_cells)                                   \
-  COUNTER(shard_boundary_cells)                                   \
-  COUNTER(shard_seam_links)                                       \
   COUNTER(snapshot_bytes_written)                                 \
   COUNTER(snapshot_bytes_read)                                    \
   COUNTER(journal_records_replayed)                               \
@@ -158,8 +135,7 @@ namespace pdbscan::dbscan {
   SECONDS(mark_core_seconds)                                      \
   SECONDS(cluster_core_seconds)                                   \
   SECONDS(cluster_border_seconds)                                 \
-  SECONDS(finalize_seconds)                                       \
-  SECONDS(shard_merge_seconds)
+  SECONDS(finalize_seconds)
 
 struct PipelineStats {
 #define PDBSCAN_STATS_DECLARE_COUNT(name) std::atomic<size_t> name{0};

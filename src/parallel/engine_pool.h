@@ -69,11 +69,6 @@
 #include "dbscan/types.h"
 #include "geometry/point.h"
 
-namespace pdbscan::sharding {
-template <int D>
-class ShardedCellIndex;
-}  // namespace pdbscan::sharding
-
 namespace pdbscan::parallel {
 
 template <int D>
@@ -81,8 +76,8 @@ class EnginePool {
  public:
   // Serves an index built elsewhere (possibly shared with other pools).
   // The index may come from any producer of frozen CellIndexes: a direct
-  // CellIndex::Build, a streaming DynamicCellIndex snapshot, or a sharded
-  // build's merged index.
+  // CellIndex::Build, a streaming DynamicCellIndex snapshot, or a loaded
+  // snapshot.
   explicit EnginePool(std::shared_ptr<const dbscan::CellIndex<D>> index)
       : index_(std::move(index)) {
     if (!index_) throw std::invalid_argument("EnginePool needs an index");
@@ -103,14 +98,6 @@ class EnginePool {
       throw std::invalid_argument("EnginePool generation must be >= 1");
     }
   }
-
-  // Serves the merged frozen index of a spatially sharded build — sharded
-  // indexes are ordinary CellIndexes after their boundary merge, so
-  // serving and sweeps work unchanged. The pool shares ownership of the
-  // merged index; the ShardedCellIndex itself need not outlive the pool.
-  // Defined in sharding/sharded_cell_index.h (include it to use this
-  // constructor).
-  explicit EnginePool(const sharding::ShardedCellIndex<D>& sharded);
 
   // Builds the index and serves it: the one-stop "service" constructor.
   // `counts_cap` is the largest min_pts answered from the shared counts;

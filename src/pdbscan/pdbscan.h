@@ -88,29 +88,9 @@
 // memcpy-scale recomposition pass), and readers never block on the writer.
 // See streaming/dynamic_cell_index.h and streaming/streaming_clusterer.h.
 //
-// Quickstart (sharded builds — spatially partitioned construction):
-//
-//   // Grid cells + kScan counting, any dimension. The domain splits into
-//   // 8 grid-aligned slabs, each shard builds and counts concurrently,
-//   // and a boundary-merge stage reconciles only cells within one eps of
-//   // a shard seam before freezing one merged immutable index.
-//   pdbscan::ShardedClusterer<2> sharded(pts, /*epsilon=*/1.0,
-//                                        /*counts_cap=*/100,
-//                                        /*num_shards=*/8);
-//   pdbscan::Clustering c = sharded.Run(/*min_pts=*/10);   // Any thread.
-//
-// Sharding is a build-time decomposition: the merged index is an ordinary
-// CellIndex (EnginePool can be constructed from a ShardedCellIndex
-// directly), queries run the standard pipeline against it, and exact
-// configurations produce labels bit-identical to an unsharded run at any
-// worker count. Merge work is proportional to the boundary-cell count, not
-// the dataset (shard_boundary_cells / shard_seam_links in the stats sink;
-// test_sharding's ShardedCellIndex.* cases enforce the proportionality).
-// See sharding/shard_planner.h and sharding/sharded_cell_index.h.
-//
 // Quickstart (persistence — survive restarts, cold-start in milliseconds):
 //
-//   // Save any frozen index (built, streaming snapshot, or sharded merge):
+//   // Save any frozen index (built or streaming snapshot):
 //   auto index = pdbscan::CellIndex<2>::Build(pts, 1.0, 100);
 //   pdbscan::SaveIndex<2>("index.pdbsnap", *index);
 //   // ... new process — rehydrate instead of rebuilding. kMapped serves
@@ -179,9 +159,6 @@
 #include "persist/journal.h"
 #include "persist/snapshot.h"
 #include "quality/metrics.h"
-#include "sharding/shard_planner.h"
-#include "sharding/sharded_cell_index.h"
-#include "sharding/sharded_clusterer.h"
 #include "streaming/streaming_clusterer.h"
 #include "telemetry/metrics.h"
 #include "telemetry/stats_export.h"
@@ -253,27 +230,6 @@ using DynamicCellIndex = streaming::DynamicCellIndex<D>;
 // streaming/streaming_clusterer.h).
 template <int D>
 using StreamingClusterer = streaming::StreamingClusterer<D>;
-
-// The executed sharding partition: split axis, lattice-aligned slab cuts,
-// and the seam halo width (see sharding/shard_planner.h).
-template <int D>
-using ShardPlan = sharding::ShardPlan<D>;
-
-// Plans grid-aligned spatial slabs for a point set at a given epsilon
-// (deterministic; clamps the shard count to the lattice).
-using ShardPlanner = sharding::ShardPlanner;
-
-// Spatially partitioned index construction: concurrent per-shard builds, a
-// boundary merge proportional to the seam size, one merged immutable
-// CellIndex as the result (see sharding/sharded_cell_index.h).
-template <int D>
-using ShardedCellIndex = sharding::ShardedCellIndex<D>;
-
-// Sharded-build-plus-serving facade: a ShardedCellIndex wired to an
-// EnginePool; Run/Sweep from any thread, bit-identical to unsharded runs
-// for exact configurations (see sharding/sharded_clusterer.h).
-template <int D>
-using ShardedClusterer = sharding::ShardedClusterer<D>;
 
 // --- Quality surface (see quality/metrics.h). -------------------------------
 //

@@ -21,8 +21,8 @@
 //     unmodified while any loaded index serves.
 //
 // Either way the rehydrated index goes through the SAME CellIndex
-// adoption constructor the streaming and sharded producers use, so queries
-// against it are bit-identical to the index that was saved
+// adoption constructor the streaming producer uses, so queries against it
+// are bit-identical to the index that was saved
 // (tests/test_persist.cpp's SnapshotRoundTrip.* enforce this for both
 // load modes).
 //
@@ -235,86 +235,6 @@ inline SnapshotInfo PeekSnapshot(const std::string& path) {
   return info;
 }
 
-// Writes a snapshot from raw parts — the low-level entry point shared by
-// SnapshotWriter::Write (a whole CellIndex) and the sharded build's
-// per-shard spill (a bare structure + counts). `live_ids`, when non-empty,
-// must have exactly cells.num_points() entries and records the streaming
-// writer state alongside (`next_id` is then required to be past every live
-// id).
-template <int D>
-void WriteSnapshotRaw(const std::string& path,
-                      const dbscan::CellStructure<D>& cells,
-                      std::span<const uint32_t> neighbor_counts,
-                      size_t counts_cap, const Options& options,
-                      std::span<const uint64_t> live_ids = {},
-                      uint64_t next_id = 0, uint64_t journal_generation = 0,
-                      dbscan::PipelineStats* stats = nullptr) {
-  static_assert(kLayoutIsPortable<D>,
-                "Point/BBox/CellCoords must be flat arrays of 64-bit words");
-  if (neighbor_counts.size() != cells.num_points()) {
-    throw PersistError(path + ": counts do not cover the point set");
-  }
-  if (!live_ids.empty() && live_ids.size() != cells.num_points()) {
-    throw PersistError(path + ": live ids do not cover the point set");
-  }
-
-  SnapshotHeader h;
-  std::memcpy(h.magic, kSnapshotMagic, sizeof(kSnapshotMagic));
-  h.version = kSnapshotVersion;
-  h.endian = kEndianProbe;
-  h.header_bytes = sizeof(SnapshotHeader);
-  h.dim = D;
-  h.flags = (cells.coords.empty() ? 0 : kFlagHasCoords) |
-            (live_ids.empty() ? 0 : kFlagStreamState);
-  h.epsilon = cells.epsilon;
-  h.counts_cap = counts_cap;
-  h.num_points = cells.num_points();
-  h.num_cells = cells.num_cells();
-  h.num_neighbor_links = cells.nbrs.size();
-  h.next_id = live_ids.empty() ? 0 : next_id;
-  h.journal_generation = journal_generation;
-  h.options = EncodeOptions(options);
-  const SnapshotLayout layout = ComputeSnapshotLayout(h);
-  h.file_bytes = layout.file_bytes;
-
-  struct Src {
-    const void* data;
-    SnapshotLayout::Section section;
-  };
-  const Src sources[] = {
-      {cells.points.data(), layout.points},
-      {cells.orig_index.data(), layout.orig_index},
-      {cells.offsets.data(), layout.offsets},
-      {cells.coords.data(), layout.coords},
-      {cells.cell_boxes.data(), layout.cell_boxes},
-      {cells.nbr_offsets.data(), layout.nbr_offsets},
-      {cells.nbrs.data(), layout.nbrs},
-      {neighbor_counts.data(), layout.neighbor_counts},
-      {live_ids.data(), layout.live_ids},
-  };
-  uint64_t sums[9];
-  for (int i = 0; i < 9; ++i) {
-    sums[i] = Checksum64(sources[i].data, sources[i].section.bytes);
-  }
-  h.payload_checksum = Checksum64(sums, sizeof(sums));
-  h.header_checksum = 0;
-  h.header_checksum = Checksum64(&h, sizeof(h));
-
-  AtomicFileWriter out(path);
-  out.Write(&h, sizeof(h));
-  for (const Src& src : sources) {
-    out.PadTo(src.section.offset);
-    out.Write(src.data, src.section.bytes);
-  }
-  out.PadTo(layout.file_bytes);
-  out.Commit();
-
-  dbscan::PipelineStats& sink =
-      stats != nullptr ? *stats : dbscan::GlobalStats();
-  sink.snapshot_bytes_written.fetch_add(layout.file_bytes,
-                                        std::memory_order_relaxed);
-}
-
 template <int D>
 class SnapshotWriter {
  public:
@@ -324,21 +244,81 @@ class SnapshotWriter {
   // rebuilt at load).
   static void Write(const std::string& path, const dbscan::CellIndex<D>& index,
                     dbscan::PipelineStats* stats = nullptr) {
-    WriteSnapshotRaw<D>(path, index.cells(), index.neighbor_counts().span(),
-                        index.counts_cap(), index.options(), {}, 0, 0, stats);
+    Write(path, index, {}, 0, 0, stats);
   }
 
   // Streaming checkpoint variant: additionally records the stable live ids
   // (dataset order, ids ascending), the writer's next id, and the update
   // sequence the checkpoint captures, so a DynamicCellIndex can be
-  // restored and continue applying the journal records past it.
+  // restored and continue applying the journal records past it. Empty
+  // `live_ids` writes a plain snapshot; otherwise they must cover every
+  // point and `next_id` must be past every live id.
   static void Write(const std::string& path, const dbscan::CellIndex<D>& index,
                     std::span<const uint64_t> live_ids, uint64_t next_id,
                     uint64_t journal_generation = 0,
                     dbscan::PipelineStats* stats = nullptr) {
-    WriteSnapshotRaw<D>(path, index.cells(), index.neighbor_counts().span(),
-                        index.counts_cap(), index.options(), live_ids,
-                        next_id, journal_generation, stats);
+    static_assert(kLayoutIsPortable<D>,
+                  "Point/BBox/CellCoords must be flat arrays of 64-bit words");
+    const dbscan::CellStructure<D>& cells = index.cells();
+    if (!live_ids.empty() && live_ids.size() != cells.num_points()) {
+      throw PersistError(path + ": live ids do not cover the point set");
+    }
+
+    SnapshotHeader h;
+    std::memcpy(h.magic, kSnapshotMagic, sizeof(kSnapshotMagic));
+    h.version = kSnapshotVersion;
+    h.endian = kEndianProbe;
+    h.header_bytes = sizeof(SnapshotHeader);
+    h.dim = D;
+    h.flags = (cells.coords.empty() ? 0 : kFlagHasCoords) |
+              (live_ids.empty() ? 0 : kFlagStreamState);
+    h.epsilon = cells.epsilon;
+    h.counts_cap = index.counts_cap();
+    h.num_points = cells.num_points();
+    h.num_cells = cells.num_cells();
+    h.num_neighbor_links = cells.nbrs.size();
+    h.next_id = live_ids.empty() ? 0 : next_id;
+    h.journal_generation = journal_generation;
+    h.options = EncodeOptions(index.options());
+    const SnapshotLayout layout = ComputeSnapshotLayout(h);
+    h.file_bytes = layout.file_bytes;
+
+    struct Src {
+      const void* data;
+      SnapshotLayout::Section section;
+    };
+    const Src sources[] = {
+        {cells.points.data(), layout.points},
+        {cells.orig_index.data(), layout.orig_index},
+        {cells.offsets.data(), layout.offsets},
+        {cells.coords.data(), layout.coords},
+        {cells.cell_boxes.data(), layout.cell_boxes},
+        {cells.nbr_offsets.data(), layout.nbr_offsets},
+        {cells.nbrs.data(), layout.nbrs},
+        {index.neighbor_counts().data(), layout.neighbor_counts},
+        {live_ids.data(), layout.live_ids},
+    };
+    uint64_t sums[9];
+    for (int i = 0; i < 9; ++i) {
+      sums[i] = Checksum64(sources[i].data, sources[i].section.bytes);
+    }
+    h.payload_checksum = Checksum64(sums, sizeof(sums));
+    h.header_checksum = 0;
+    h.header_checksum = Checksum64(&h, sizeof(h));
+
+    AtomicFileWriter out(path);
+    out.Write(&h, sizeof(h));
+    for (const Src& src : sources) {
+      out.PadTo(src.section.offset);
+      out.Write(src.data, src.section.bytes);
+    }
+    out.PadTo(layout.file_bytes);
+    out.Commit();
+
+    dbscan::PipelineStats& sink =
+        stats != nullptr ? *stats : dbscan::GlobalStats();
+    sink.snapshot_bytes_written.fetch_add(layout.file_bytes,
+                                          std::memory_order_relaxed);
   }
 };
 
@@ -432,8 +412,7 @@ class SnapshotReader {
                                   : nullptr;
     out.index = std::make_shared<const dbscan::CellIndex<D>>(
         std::move(cells), std::move(counts),
-        static_cast<size_t>(h.counts_cap), options, stats,
-        std::move(payload));
+        static_cast<size_t>(h.counts_cap), options, std::move(payload));
 
     out.has_stream_state = (h.flags & kFlagStreamState) != 0;
     out.journal_generation = h.journal_generation;

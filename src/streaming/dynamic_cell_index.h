@@ -515,7 +515,7 @@ class DynamicCellIndex {
     update.num_points = n;
     update.num_cells = m;
     pending_ = std::make_shared<const dbscan::CellIndex<D>>(
-        std::move(cells), std::move(counts), counts_cap_, options_, stats_);
+        std::move(cells), std::move(counts), counts_cap_, options_);
     return update;
   }
 

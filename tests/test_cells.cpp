@@ -415,52 +415,6 @@ TEST(GridAdjacency, HugeExtentTinyEpsilon) {
   }
 }
 
-// A subset of the cells, as the sharded seam merge passes: positions into
-// the subset, each position's emissions in ascending coordinate order.
-template <int D>
-void CheckSubsetEmission(Metric metric) {
-  const auto coords =
-      D <= 3 ? RandomCoords<D>(2500, 0, 10, 707 + D)
-             : RandomCoords<D>(2000, 0, 3, 707 + D);
-  const auto cells = CoordsOnlyStructure<D>(coords, metric);
-  std::mt19937_64 rng(808 + D);
-  std::vector<uint32_t> ids;
-  CoordsList<D> subset;
-  for (size_t c = 0; c < coords.size(); ++c) {
-    if (rng() % 3 == 0) {
-      ids.push_back(static_cast<uint32_t>(c));
-      subset.push_back(coords[c]);
-    }
-  }
-  const auto expected = ReferenceNeighbors<D>(subset, metric);
-  for (const int workers : {1, 4}) {
-    parallel::ScopedNumWorkers scoped(workers);
-    std::vector<std::vector<size_t>> got(ids.size());
-    dbscan::ForEachNeighborAmong<D>(
-        cells, std::span<const uint32_t>(ids),
-        [&](size_t i, size_t j) { got[i].push_back(j); });
-    EXPECT_EQ(got, expected) << "D=" << D << " P=" << workers;
-  }
-}
-
-TEST(GridAdjacency, SubsetThroughForEachNeighborAmong) {
-  for (const Metric metric : kAllMetrics) {
-    CheckSubsetEmission<1>(metric);
-    CheckSubsetEmission<2>(metric);
-    CheckSubsetEmission<3>(metric);
-    CheckSubsetEmission<4>(metric);
-    CheckSubsetEmission<5>(metric);
-    CheckSubsetEmission<6>(metric);
-    CheckSubsetEmission<7>(metric);
-  }
-  // No candidates, no calls.
-  const auto cells = CoordsOnlyStructure<2>({}, Metric::kL2);
-  size_t calls = 0;
-  dbscan::ForEachNeighborAmong<2>(cells, std::span<const uint32_t>(),
-                                  [&](size_t, size_t) { ++calls; });
-  EXPECT_EQ(calls, 0u);
-}
-
 // --- Box method ---------------------------------------------------------------
 
 TEST(BoxCells, Invariants) {

@@ -215,7 +215,6 @@ TEST(EngineValidation, NanEpsilonThrowsOnEverySurface) {
   EXPECT_THROW(engine.Run(nan, 5), std::invalid_argument);
   EXPECT_THROW(engine.Sweep(nan, {5}), std::invalid_argument);
   EXPECT_THROW(StreamingClusterer<2>(nan, 5), std::invalid_argument);
-  EXPECT_THROW(ShardedCellIndex<2>(lattice, nan, 5, 2), std::invalid_argument);
   // Infinity stays valid: every point is every other point's neighbor.
   EXPECT_EQ(Dbscan<2>(lattice, std::numeric_limits<double>::infinity(), 5)
                 .num_clusters,
@@ -235,7 +234,6 @@ TEST(EngineValidation, OutOfRangeCellCoordinatesThrowOnEverySurface) {
   engine.SetPoints(wide);
   EXPECT_THROW(engine.Run(tiny, 2), std::invalid_argument);
   EXPECT_THROW(engine.Sweep(tiny, {2}), std::invalid_argument);
-  EXPECT_THROW(ShardedCellIndex<2>(wide, tiny, 2, 2), std::invalid_argument);
   // In range, the three points are what they are: noise.
   const Clustering fine = Dbscan<2>(wide, 1e-9, 2);
   EXPECT_EQ(fine.cluster, (std::vector<int64_t>{-1, -1, -1}));

@@ -1,8 +1,7 @@
 // Tests for the persistence layer (src/persist/): snapshot round trips in
 // both load modes with bit-identical serving, corruption/truncation/version
 // rejection, journal replay equivalence, crash-shaped recovery of durable
-// live datasets through WriterNode / ReplicaNode, and the sharded
-// spill/save path.
+// live datasets through WriterNode / ReplicaNode.
 #include <unistd.h>
 
 #include <algorithm>
@@ -644,42 +643,6 @@ TEST(DurableRecovery, ConfigMismatchRejected) {
   // A replica treats the unreadable tail as transient and applies nothing.
   ReplicaNode<2> replica(journal_only.str(), 1.0, 8, Options());
   EXPECT_EQ(replica.applied_seq(), 0u);
-}
-
-// --- Sharded spill + merged save. ------------------------------------------
-
-TEST(ShardedPersist, SpillsShardsAndSavesMergedOnce) {
-  TempDir dir("sharded");
-  const auto pts = BlobPoints<2>(900, 5, 24.0, 0.8, 77);
-  const double eps = 0.9;
-  const size_t cap = 16;
-  ShardedCellIndex<2> sharded(std::span<const Point<2>>(pts), eps, cap,
-                              /*num_shards=*/4, dir.path().string());
-  const auto& info = sharded.build_info();
-  ASSERT_EQ(info.spill_paths.size(), sharded.num_shards());
-  size_t spilled_points = 0;
-  for (const std::string& spill : info.spill_paths) {
-    const SnapshotInfo peek = PeekSnapshot(spill);  // Parses + validates.
-    EXPECT_EQ(peek.dim, 2);
-    EXPECT_EQ(peek.epsilon, eps);
-    spilled_points += peek.num_points;
-    // Spill files are complete, loadable snapshots of their shard.
-    auto shard = LoadIndex<2>(spill, LoadMode::kMapped);
-    EXPECT_EQ(shard->epsilon(), eps);
-  }
-  EXPECT_EQ(spilled_points, pts.size());
-
-  // The merged index saves once and serves identically after a reload.
-  const std::string merged_path = dir.File("merged.pdbsnap");
-  sharded.Save(merged_path);
-  QueryContext<2> ctx, ref_ctx;
-  const auto expected = ref_ctx.Run(*sharded.index(), 7);
-  for (const LoadMode mode : {LoadMode::kOwned, LoadMode::kMapped}) {
-    auto loaded = LoadIndex<2>(merged_path, mode);
-    ExpectIdentical(expected, ctx.Run(*loaded, 7), "merged reload");
-  }
-  // And the unsharded oracle agrees (exact config).
-  ExpectIdentical(Dbscan<2>(pts, eps, 7), expected, "sharded oracle");
 }
 
 // --- Stats plumbing. --------------------------------------------------------

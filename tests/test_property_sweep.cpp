@@ -134,6 +134,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PropertySweepHighDim,
 
 // --- Streaming: incremental maintenance vs. from-scratch rebuild ------------
 
+// Applies one randomized batch to `stream`: fresh points drawn from the
+// shape family, erases of a random subset of the `live` ids (kept current).
+template <int D>
+void ApplyRandomBatch(StreamingClusterer<D>& stream,
+                      std::vector<uint64_t>& live, Shape shape,
+                      std::mt19937_64& rng) {
+  const auto ins = GenerateShape<D>(shape, 30 + rng() % 60, rng());
+  std::shuffle(live.begin(), live.end(), rng);
+  const size_t erase_n = live.empty() ? 0 : rng() % (live.size() / 2 + 1);
+  std::vector<uint64_t> del(live.begin(),
+                            live.begin() + static_cast<ptrdiff_t>(erase_n));
+  live.erase(live.begin(), live.begin() + static_cast<ptrdiff_t>(erase_n));
+  const uint64_t first = stream.ApplyUpdates(ins, del);
+  for (size_t i = 0; i < ins.size(); ++i) live.push_back(first + i);
+}
+
 // Applies `rounds` randomized insert/erase batches over every shape to a
 // StreamingClusterer and, after each batch, checks the published snapshot
 // against a from-scratch Dbscan on the mutated dataset (SameClustering) and
@@ -145,15 +161,7 @@ void StreamingMatchesRebuild(Shape shape, double epsilon, size_t rounds,
   StreamingClusterer<D> stream(epsilon, /*counts_cap=*/25);
   std::vector<uint64_t> live;
   for (size_t round = 0; round < rounds; ++round) {
-    // Fresh points drawn from the shape family; erases of a random subset.
-    const auto ins = GenerateShape<D>(shape, 30 + rng() % 60, rng());
-    std::shuffle(live.begin(), live.end(), rng);
-    const size_t erase_n = live.empty() ? 0 : rng() % (live.size() / 2 + 1);
-    std::vector<uint64_t> del(live.begin(),
-                              live.begin() + static_cast<ptrdiff_t>(erase_n));
-    live.erase(live.begin(), live.begin() + static_cast<ptrdiff_t>(erase_n));
-    const uint64_t first = stream.ApplyUpdates(ins, del);
-    for (size_t i = 0; i < ins.size(); ++i) live.push_back(first + i);
+    ApplyRandomBatch(stream, live, shape, rng);
 
     const auto pts = stream.LivePoints();
     ASSERT_EQ(pts.size(), live.size());
@@ -194,78 +202,35 @@ TEST_P(StreamingPropertySweep, BatchesMatchRebuild5d) {
   StreamingMatchesRebuild<5>(Shape::kBlobs, 4.0, 2, GetParam() * 977);
 }
 
+// The 2D-only exact connectors (USEC wavefronts, Delaunay edge filtering)
+// and bucketing run against a recomposed snapshot, whose cell order is not
+// the semisort order, exactly as against a built index: after every batch
+// the full contract matches a one-shot Dbscan with the same options.
+TEST_P(StreamingPropertySweep, ExactConnectorsOverStreamingIndex2d) {
+  const double eps = 1.1;
+  for (const auto& options :
+       {Our2dGridUsec(), Our2dGridDelaunay(), WithBucketing(Our2dGridBcp())}) {
+    for (const Shape shape : pdbscan::testing::kAllShapes) {
+      const uint64_t seed = GetParam() * 613 + static_cast<int>(shape);
+      std::mt19937_64 rng(seed);
+      StreamingClusterer<2> stream(eps, /*counts_cap=*/24, options);
+      std::vector<uint64_t> live;
+      for (size_t round = 0; round < 3 * SweepBudget(); ++round) {
+        ApplyRandomBatch(stream, live, shape, rng);
+        const size_t min_pts = 1 + rng() % 12;
+        ASSERT_TRUE(pdbscan::testing::Identical(
+            Dbscan<2>(stream.LivePoints(), eps, min_pts, options),
+            stream.Run(min_pts)))
+            << options.Name() << " shape=" << static_cast<int>(shape)
+            << " round=" << round << " minpts=" << min_pts
+            << " seed=" << seed << pdbscan::testing::SeedNote();
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingPropertySweep,
                          ::testing::Values(1, 2, 3));
-
-// --- Sharded builds: bit-identity with the single-index run -----------------
-
-// For randomized (shape, n, epsilon, min_pts) cases and randomized shard
-// counts, a sharded build must reproduce the one-shot Dbscan result bit for
-// bit — full contract (labels, core flags, memberships) — at 1 worker and
-// at the ambient worker count. Exact grid+kScan configurations only (the
-// sharded path's scope; see sharding/sharded_cell_index.h).
-template <int D>
-void ShardedMatchesUnsharded(uint64_t base_seed, size_t cases,
-                             double eps_scale) {
-  std::mt19937_64 rng(base_seed * 389 + 17);
-  for (const auto& c : MakeCases(base_seed + 21000, cases)) {
-    auto pts = GenerateShape<D>(c.shape, c.n, c.seed);
-    const double epsilon = c.epsilon * eps_scale;
-    const auto expected = Dbscan<D>(pts, epsilon, c.min_pts);
-    const size_t shards = 1 + rng() % 7;
-    const size_t cap = 1 + rng() % 24;  // Sometimes below min_pts: recount.
-    for (const int workers : {1, parallel::num_workers()}) {
-      parallel::ScopedNumWorkers scoped(workers);
-      sharding::ShardedCellIndex<D> sharded(
-          std::span<const Point<D>>(pts), epsilon, cap, shards);
-      dbscan::QueryContext<D> ctx;
-      const auto got = ctx.Run(*sharded.index(), c.min_pts);
-      ASSERT_TRUE(pdbscan::testing::Identical(expected, got))
-          << "sharded vs unsharded: D=" << D
-          << " shape=" << static_cast<int>(c.shape) << " n=" << c.n
-          << " eps=" << epsilon << " minpts=" << c.min_pts
-          << " shards=" << shards << " cap=" << cap
-          << " workers=" << workers << " seed=" << c.seed << pdbscan::testing::SeedNote();
-    }
-  }
-}
-
-class ShardedPropertySweep : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ShardedPropertySweep, BitIdentical2d) {
-  ShardedMatchesUnsharded<2>(GetParam(), 4 * SweepBudget(), 1.0);
-}
-
-TEST_P(ShardedPropertySweep, BitIdentical3d) {
-  ShardedMatchesUnsharded<3>(GetParam() + 100, 2 * SweepBudget(), 2.0);
-}
-
-TEST_P(ShardedPropertySweep, BitIdentical5d) {
-  ShardedMatchesUnsharded<5>(GetParam() + 200, SweepBudget(), 3.0);
-}
-
-// The 2D-only exact connectors (USEC wavefronts, Delaunay edge filtering)
-// and bucketing run against a merged sharded structure exactly as against a
-// built one: same labels, every configuration.
-TEST_P(ShardedPropertySweep, ExactConnectorsOverShardedIndex2d) {
-  std::mt19937_64 rng(GetParam() * 613 + 5);
-  for (const auto& c : MakeCases(GetParam() + 27000, 2 * SweepBudget())) {
-    auto pts = GenerateShape<2>(c.shape, c.n, c.seed);
-    const size_t shards = 2 + rng() % 5;
-    for (const auto& options :
-         {Our2dGridUsec(), Our2dGridDelaunay(), WithBucketing(Our2dGridBcp())}) {
-      const auto expected = Dbscan<2>(pts, c.epsilon, c.min_pts, options);
-      sharding::ShardedCellIndex<2> sharded(
-          std::span<const Point<2>>(pts), c.epsilon, 24, shards, options);
-      dbscan::QueryContext<2> ctx;
-      ASSERT_TRUE(pdbscan::testing::Identical(
-          expected, ctx.Run(*sharded.index(), c.min_pts)))
-          << options.Name() << " shape=" << static_cast<int>(c.shape)
-          << " n=" << c.n << " eps=" << c.epsilon << " minpts=" << c.min_pts
-          << " shards=" << shards << " seed=" << c.seed << pdbscan::testing::SeedNote();
-    }
-  }
-}
 
 // Persistence: for randomized configurations, save -> load (both modes)
 // -> Run + Sweep must be bit-identical to the live-built index. Exact and
@@ -330,9 +295,6 @@ TEST_P(PersistPropertySweep, LoadedIndexesBitIdentical5d) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PersistPropertySweep,
                          ::testing::Values(1, 2, 3));
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardedPropertySweep,
-                         ::testing::Values(1, 2, 3, 4));
 
 // --- Kernel dispatch levels: SIMD vs scalar bit-identity --------------------
 
@@ -663,47 +625,6 @@ TEST_P(MetricPropertySweep, OracleMatch3d) {
 
 TEST_P(MetricPropertySweep, OracleMatch5d) {
   MetricMatchesOracle<5>(GetParam() + 140, SweepBudget(), 3.0);
-}
-
-// Sharded-vs-unsharded bit-identity under L1/Linf: the metric-derived halo
-// (D+1 columns for L1, 2 for Linf) must make seam merges exact.
-template <int D>
-void MetricShardedMatchesUnsharded(uint64_t base_seed, size_t cases,
-                                   double eps_scale) {
-  std::mt19937_64 rng(base_seed * 409 + D);
-  for (const auto& c : MakeCases(base_seed + 63000, cases)) {
-    auto pts = GenerateShape<D>(c.shape, c.n, c.seed);
-    const double epsilon = c.epsilon * eps_scale;
-    const size_t shards = 1 + rng() % 7;
-    const size_t cap = 1 + rng() % 24;
-    for (const Metric metric : {Metric::kL1, Metric::kLinf}) {
-      Options options = OurExact();
-      options.metric = metric;
-      const auto expected = Dbscan<D>(pts, epsilon, c.min_pts, options);
-      for (const int workers : {1, parallel::num_workers()}) {
-        parallel::ScopedNumWorkers scoped(workers);
-        sharding::ShardedCellIndex<D> sharded(
-            std::span<const Point<D>>(pts), epsilon, cap, shards, options);
-        dbscan::QueryContext<D> ctx;
-        ASSERT_TRUE(pdbscan::testing::Identical(
-            expected, ctx.Run(*sharded.index(), c.min_pts)))
-            << MetricName(metric) << " sharded vs unsharded: D=" << D
-            << " shape=" << static_cast<int>(c.shape) << " n=" << c.n
-            << " eps=" << epsilon << " minpts=" << c.min_pts
-            << " shards=" << shards << " cap=" << cap
-            << " workers=" << workers << " seed=" << c.seed
-            << pdbscan::testing::SeedNote();
-      }
-    }
-  }
-}
-
-TEST_P(MetricPropertySweep, ShardedBitIdentical2d) {
-  MetricShardedMatchesUnsharded<2>(GetParam(), 3 * SweepBudget(), 1.0);
-}
-
-TEST_P(MetricPropertySweep, ShardedBitIdentical3d) {
-  MetricShardedMatchesUnsharded<3>(GetParam() + 210, 2 * SweepBudget(), 2.0);
 }
 
 // Forced-scalar vs every SIMD dispatch level under L1/Linf: same clustering

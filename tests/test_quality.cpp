@@ -1,7 +1,7 @@
 // Quality-metric unit tests (ARI / NMI / noise ratio / histogram /
 // checksum against hand-computed references) and the golden-label corpus:
-// every execution surface (one-shot, warm engine, pool, sharded, streaming,
-// serving, persisted round-trip) x every metric (L2, L1, Linf) must
+// every execution surface (one-shot, warm engine, pool, streaming, serving,
+// persisted round-trip) x every metric (L2, L1, Linf) must
 // reproduce the pinned ground-truth labels of tests/data/ *verbatim* — same
 // partition, same first-appearance ids, same FNV-1a label checksum.
 //
@@ -199,16 +199,6 @@ void CheckGoldenDataset(const std::string& name) {
       ExpectIdentical(reference, got, context + " mode=pool");
       EXPECT_EQ(quality::LabelChecksum(got.cluster), checksum)
           << context << " mode=pool";
-    }
-
-    // Sharded build (3 slabs, boundary merge).
-    {
-      ShardedClusterer<D> sharded(pts, kEps, kCap, /*num_shards=*/3,
-                                  options);
-      const Clustering got = sharded.Run(kMinPts);
-      ExpectIdentical(reference, got, context + " mode=sharded");
-      EXPECT_EQ(quality::LabelChecksum(got.cluster), checksum)
-          << context << " mode=sharded";
     }
 
     // Streaming: the dataset arrives as two insert batches.

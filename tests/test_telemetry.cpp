@@ -36,7 +36,6 @@
 #include "parallel/serving_scheduler.h"
 #include "pdbscan/pdbscan.h"
 #include "persist/snapshot.h"
-#include "sharding/sharded_cell_index.h"
 #include "streaming/dynamic_cell_index.h"
 #include "telemetry/metrics.h"
 #include "telemetry/stats_export.h"
@@ -279,10 +278,6 @@ TEST(StageSpans, SecondsEqualSpanDurations) {
   streaming::DynamicCellIndex<2> dynamic(eps, cap, Options(), &stats);
   dynamic.ApplyUpdates(pts, {});
 
-  const sharding::ShardedCellIndex<2> sharded(pts, eps, cap, 2, Options(),
-                                              &stats);
-  ASSERT_EQ(sharded.num_shards(), 2u);
-
   const std::string path =
       (std::filesystem::temp_directory_path() /
        ("pdbscan_stage_spans_" + std::to_string(::getpid()) + ".pdbsnap"))
@@ -292,32 +287,19 @@ TEST(StageSpans, SecondsEqualSpanDurations) {
   std::filesystem::remove(path);
 
   std::map<std::string, double> span_seconds;
-  int shard_merges = 0;
   for (const SpanRecord& s :
        telemetry::GlobalTraceRing().CollectTrace(trace_id)) {
-    std::string name = s.name;
-    // The sharded build's two shard_merge spans, in order: cross-seam
-    // discovery (cell construction), then the boundary recount (MarkCore).
-    if (name == "shard_merge") {
-      name += shard_merges++ == 0 ? ".discovery" : ".recount";
-    }
-    span_seconds[name] += static_cast<double>(s.duration_nanos()) * 1e-9;
+    span_seconds[s.name] += static_cast<double>(s.duration_nanos()) * 1e-9;
   }
-  EXPECT_EQ(shard_merges, 2);
 
   const std::map<std::string, std::vector<std::string>> feeds = {
       {"snapshot_load_seconds", {"snapshot_load"}},
-      {"build_cells_seconds",
-       {"build_cells", "streaming_recompose", "shard_build",
-        "shard_recompose", "shard_merge.discovery"}},
+      {"build_cells_seconds", {"build_cells", "streaming_recompose"}},
       {"mark_core_seconds",
-       {"mark_core_counts", "mark_core", "streaming_recount", "shard_count",
-        "shard_merge.recount"}},
+       {"mark_core_counts", "mark_core", "streaming_recount"}},
       {"cluster_core_seconds", {"cluster_core"}},
       {"cluster_border_seconds", {"cluster_border"}},
       {"finalize_seconds", {"finalize"}},
-      {"shard_merge_seconds",
-       {"shard_merge.discovery", "shard_merge.recount"}},
   };
   std::map<std::string, double> field_seconds;
 #define PDBSCAN_TEST_SKIP(name)
