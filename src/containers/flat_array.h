@@ -26,10 +26,10 @@
 // materializes a private owned copy (copy-on-write, gathering strided
 // elements). Builders never operate on views, so in practice this path only
 // guards against misuse; it keeps every vector-style call site valid
-// without sprinkling "is this a view?" checks through the builders. The
-// same applies to vector-style mutation of aligned storage (it degrades to
-// an ordinary vector); aligned buffers are written through the pointer
-// AllocateAligned returns.
+// without sprinkling "is this a view?" checks through the builders.
+// Aligned storage is owned, so its elements are written in place; only a
+// call that changes the size (resize, reserve, push_back) degrades it to
+// an ordinary vector.
 //
 // Lifetime: a view does NOT keep its buffer alive. The owner of the
 // structure holding views must pin the backing storage (CellIndex holds the
@@ -182,22 +182,13 @@ class FlatArray {
 
   // --- Mutating API (vector subset). Materializes a view first. ----------
   T* data() {
-    EnsureOwned();
-    return owned_.data();
-  }
-  T& operator[](size_t i) {
     // Hot path of every builder: owned already, no copy, just the branch.
-    EnsureOwned();
-    return owned_[i];
+    if (view_ != nullptr) EnsureOwned();
+    return aligned_ != nullptr ? aligned_.get() : owned_.data();
   }
-  iterator begin() {
-    EnsureOwned();
-    return owned_.data();
-  }
-  iterator end() {
-    EnsureOwned();
-    return owned_.data() + owned_.size();
-  }
+  T& operator[](size_t i) { return data()[i]; }
+  iterator begin() { return data(); }
+  iterator end() { return data() + size(); }
   void resize(size_t n) {
     EnsureOwned();
     owned_.resize(n);

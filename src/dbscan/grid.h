@@ -17,16 +17,22 @@
 // (L2: box distance <= epsilon, since side = epsilon/sqrt(d); AxisCost in
 // metric.h gives L1 and Linf), so only occupied target rows are visited,
 // and sweeps each target row with two pointers over the last coordinate.
+// The trie is walked once: the walk counts every cell's neighbors and
+// keeps the target rows it found, a scan over the counts places each
+// cell's list, and a second pass sweeps the kept rows again to fill them.
 #ifndef PDBSCAN_DBSCAN_GRID_H_
 #define PDBSCAN_DBSCAN_GRID_H_
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "containers/flat_array.h"
+#include "containers/uninitialized_vector.h"
 #include "dbscan/cell_structure.h"
 #include "dbscan/metric.h"
 #include "geometry/point.h"
@@ -51,31 +57,41 @@ bool SameRow(const geometry::CellCoords<D>& a,
   return true;
 }
 
-// The neighbor finder for every D: the cells sorted by coordinates and
-// split into rows (cells sharing all but the last coordinate), built once
-// and swept any number of times (the CSR build sweeps twice: count, then
-// fill). Cell ids are untouched; the sort only permutes this side
-// structure.
+// The CSR builder for every D: the cells sorted by coordinates and split
+// into rows (cells sharing all but the last coordinate). Cell ids are
+// untouched; the sort only permutes this side structure.
 //
 // The sorted row keys form a trie over axes 0..D-2. A source row with
 // prefix p finds its target rows by a depth-first walk of that trie: at
 // axis a it visits each distinct value v within p[a] +- AxisReach of the
 // budget left, charging AxisCost(v - p[a]) against the bound D, so only
 // occupied prefixes that pass the criterion are ever visited. The budget
-// left at the last axis gives the [-reach, reach] window that a two-pointer
-// sweep applies to the source and target rows' last coordinates.
+// left at the last axis gives the [-reach, reach] window that each source
+// cell applies to the target row's last coordinates.
+//
+// The sweep runs in units: a run of up to kRowBlock short rows, or one
+// segment of at most kSegment cells of a longer row. A unit walks the trie
+// once per row segment, sweeping each target row as the walk reaches it to
+// count the segment's neighbors, and keeps the rows within reach of the
+// segment: 4 bytes per kept row, where a copy of the unit's lists would
+// cost 4 bytes per neighbor. Once the counts are scanned into offsets, the
+// unit sweeps its kept rows again, in the same ascending order, and writes
+// each cell's neighbors straight into its slice of the CSR.
 template <int D>
 class RowSweep {
  public:
   explicit RowSweep(const CellStructure<D>& cells) : metric_(cells.metric) {
     using geometry::CellCoords;
+    telemetry::TraceSpan span("row_sort");
     const size_t m = cells.num_cells();
-    std::vector<std::pair<CellCoords<D>, uint32_t>> sorted(m);
+    containers::UninitializedVector<std::pair<CellCoords<D>, uint32_t>>
+        sorted(m);
     parallel::parallel_for(0, m, [&](size_t c) {
       sorted[c] = {cells.coords[c], static_cast<uint32_t>(c)};
     });
     // Coordinates are distinct, so the order never consults the cell id.
-    primitives::ParallelSort(sorted);
+    primitives::ParallelSort(
+        std::span<std::pair<CellCoords<D>, uint32_t>>(sorted));
     pos_.resize(m);
     last_.resize(m);
     parallel::parallel_for(0, m, [&](size_t k) {
@@ -90,35 +106,53 @@ class RowSweep {
       row_key_[r] = sorted[row_start_[r]].first;
     });
     row_start_.push_back(m);
+    const size_t num_rows = row_key_.size();
+    for (size_t r = 0; r < num_rows;) {
+      const size_t begin = row_start_[r];
+      const size_t end = row_start_[r + 1];
+      size_t r_end = r + 1;
+      if (end - begin > kSegment) {
+        for (size_t b = begin; b < end; b += kSegment) {
+          units_.push_back({r, r_end, b, std::min(end, b + kSegment)});
+        }
+      } else {
+        while (r_end < std::min(num_rows, r + kRowBlock) &&
+               row_start_[r_end + 1] - row_start_[r_end] <= kSegment) {
+          ++r_end;
+        }
+        units_.push_back({r, r_end, begin, row_start_[r_end]});
+      }
+      r = r_end;
+    }
   }
 
-  // Invokes emit(i, j) for every ordered pair of cells i != j whose boxes
-  // are within epsilon. Tasks take blocks of source rows (a long row splits
-  // into segments), so emit must tolerate concurrent calls with distinct i.
-  // For each i, the calls come from one task, in ascending lexicographic
-  // order of the target cells' coordinates.
-  template <typename Emit>
-  void ForEach(Emit&& emit) const {
-    const size_t num_rows = row_key_.size();
+  // Fills the CSR: for every cell i, every cell j != i whose box is within
+  // epsilon, in ascending lexicographic order of j's coordinates. The walk
+  // counts each unit's cells straight into `nbr_offsets` (one slot per
+  // cell id); a scan places the lists, and a second parallel pass over the
+  // kept target rows fills `nbrs`. Both arrays are allocated
+  // uninitialized, so their pages are first touched by parallel writes.
+  void FillCsr(containers::FlatArray<size_t>& nbr_offsets,
+               containers::FlatArray<uint32_t>& nbrs) const {
+    const size_t m = pos_.size();
+    size_t* const offsets = nbr_offsets.AllocateAligned(m + 1);
+    std::vector<std::vector<uint32_t>> targets(units_.size());
+    {
+      telemetry::TraceSpan span("adjacency_walk");
+      parallel::parallel_for(
+          0, units_.size(),
+          [&](size_t u) { targets[u] = WalkUnit(units_[u], offsets); }, 1);
+    }
+    telemetry::TraceSpan span("adjacency_place");
+    offsets[m] = 0;
+    const size_t total =
+        primitives::ScanExclusive(std::span<size_t>(offsets, m + 1));
+    uint32_t* const out = nbrs.AllocateAligned(total);
     parallel::parallel_for(
-        0, (num_rows + kRowBlock - 1) / kRowBlock,
-        [&](size_t block) {
-          const size_t last_row = std::min(num_rows, (block + 1) * kRowBlock);
-          for (size_t r = block * kRowBlock; r < last_row; ++r) {
-            const size_t begin = row_start_[r];
-            const size_t end = row_start_[r + 1];
-            if (end - begin <= kSegment) {
-              SweepSegment(r, begin, end, emit);
-              continue;
-            }
-            parallel::parallel_for(
-                0, (end - begin + kSegment - 1) / kSegment,
-                [&](size_t s) {
-                  const size_t b = begin + s * kSegment;
-                  SweepSegment(r, b, std::min(end, b + kSegment), emit);
-                },
-                1);
-          }
+        0, units_.size(),
+        [&](size_t u) {
+          FillUnit(units_[u], targets[u], offsets, out);
+          std::vector<uint32_t>().swap(targets[u]);
         },
         1);
   }
@@ -126,6 +160,14 @@ class RowSweep {
  private:
   static constexpr size_t kRowBlock = 128;
   static constexpr size_t kSegment = 4096;
+
+  // Rows [row_begin, row_end) restricted to sorted ranks [begin, end).
+  struct Unit {
+    size_t row_begin, row_end, begin, end;
+  };
+
+  // Ends one row segment's target rows in a unit's target list.
+  static constexpr uint32_t kSegmentEnd = UINT32_MAX;
 
   // First row in [lo, hi) whose axis-A key is at least `value`, given that
   // the rows in [lo, hi) ascend on axis A (exponential search from lo, then
@@ -170,34 +212,101 @@ class RowSweep {
     }
   }
 
-  // Sweeps sorted ranks [begin, end) of row r against every target row.
-  template <typename Emit>
-  void SweepSegment(size_t r, size_t begin, size_t end, Emit& emit) const {
+  // The last-axis reach from a source row with prefix `p` to target row
+  // `row`: what WalkTargetRows computes on reaching that row.
+  int64_t LastAxisReach(const geometry::CellCoords<D>& p, size_t row) const {
+    int64_t budget = D;
+    for (int a = 0; a + 1 < D; ++a) {
+      budget -= AxisCost(metric_, row_key_[row][a] - p[a]);
+    }
+    return AxisReach(metric_, budget);
+  }
+
+  // Calls window(k, lo, hi) for every sorted rank k in [begin, end), in
+  // order, where [lo, hi) are the ranks of target row `row` within `reach`
+  // of k's last coordinate (a two-pointer sweep), and returns true. Returns
+  // false without a call when every cell of the row lies outside the
+  // segment's last-coordinate range widened by `reach`.
+  template <typename Window>
+  bool SweepRow(size_t begin, size_t end, size_t row, int64_t reach,
+                Window&& window) const {
     const int64_t* const last = last_.data();
-    auto sweep = [&](size_t row, int64_t reach) {
-      const size_t t_end = row_start_[row + 1];
-      size_t t = static_cast<size_t>(
-          std::lower_bound(last + row_start_[row], last + t_end,
-                           last[begin] - reach) -
-          last);
-      for (size_t k = begin; k < end; ++k) {
-        const int64_t lo = last[k] - reach;
-        const int64_t hi = last[k] + reach;
-        while (t < t_end && last[t] < lo) ++t;
-        for (size_t u = t; u < t_end && last[u] <= hi; ++u) {
-          if (u != k) emit(static_cast<size_t>(pos_[k]),
-                           static_cast<size_t>(pos_[u]));
+    const size_t t_end = row_start_[row + 1];
+    size_t lo = static_cast<size_t>(
+        std::lower_bound(last + row_start_[row], last + t_end,
+                         last[begin] - reach) -
+        last);
+    // Every cell of the row lies past every window of the segment.
+    if (lo == t_end || last[lo] > last[end - 1] + reach) return false;
+    size_t hi = lo;
+    for (size_t k = begin; k < end; ++k) {
+      while (lo < t_end && last[lo] < last[k] - reach) ++lo;
+      hi = std::max(hi, lo);
+      while (hi < t_end && last[hi] <= last[k] + reach) ++hi;
+      window(k, lo, hi);
+    }
+    return true;
+  }
+
+  // Walks the trie once per row segment of `unit`, writes each cell's
+  // neighbor count to counts[cell id] and returns the target rows that
+  // SweepRow swept, each segment's followed by kSegmentEnd. Every cell
+  // lies in its own row's window once.
+  std::vector<uint32_t> WalkUnit(const Unit& unit, size_t* counts) const {
+    std::vector<size_t> count(unit.end - unit.begin, 0);
+    std::vector<uint32_t> targets;
+    for (size_t r = unit.row_begin; r < unit.row_end; ++r) {
+      const size_t begin = std::max(unit.begin, row_start_[r]);
+      const size_t end = std::min(unit.end, row_start_[r + 1]);
+      auto visit = [&](size_t row, int64_t reach) {
+        if (SweepRow(begin, end, row, reach,
+                     [&](size_t k, size_t lo, size_t hi) {
+                       count[k - unit.begin] += hi - lo;
+                     })) {
+          targets.push_back(static_cast<uint32_t>(row));
         }
+      };
+      WalkTargetRows<0>(row_key_[r], 0, row_key_.size(), D, visit);
+      targets.push_back(kSegmentEnd);
+    }
+    for (size_t i = 0; i < count.size(); ++i) {
+      counts[pos_[unit.begin + i]] = count[i] - 1;  // Minus the cell itself.
+    }
+    targets.shrink_to_fit();
+    return targets;
+  }
+
+  // Writes the neighbor lists of `unit`'s cells at `offsets` in `out`,
+  // sweeping the target rows WalkUnit kept, in the same order.
+  void FillUnit(const Unit& unit, const std::vector<uint32_t>& targets,
+                const size_t* offsets, uint32_t* out) const {
+    std::vector<size_t> cursor(unit.end - unit.begin);
+    for (size_t i = 0; i < cursor.size(); ++i) {
+      cursor[i] = offsets[pos_[unit.begin + i]];
+    }
+    size_t t = 0;
+    for (size_t r = unit.row_begin; r < unit.row_end; ++r, ++t) {
+      const size_t begin = std::max(unit.begin, row_start_[r]);
+      const size_t end = std::min(unit.end, row_start_[r + 1]);
+      for (; targets[t] != kSegmentEnd; ++t) {
+        const size_t row = targets[t];
+        SweepRow(begin, end, row, LastAxisReach(row_key_[r], row),
+                 [&](size_t k, size_t lo, size_t hi) {
+                   size_t& at = cursor[k - unit.begin];
+                   for (size_t u = lo; u < hi; ++u) {
+                     if (u != k) out[at++] = pos_[u];
+                   }
+                 });
       }
-    };
-    WalkTargetRows<0>(row_key_[r], 0, row_key_.size(), D, sweep);
+    }
   }
 
   Metric metric_;
-  std::vector<uint32_t> pos_;      // Sorted rank -> cell id.
-  std::vector<int64_t> last_;      // Sorted rank -> last coordinate.
+  containers::UninitializedVector<uint32_t> pos_;  // Rank -> cell id.
+  containers::UninitializedVector<int64_t> last_;  // Rank -> last coord.
   std::vector<size_t> row_start_;  // Row r holds ranks [start[r], start[r+1]).
   std::vector<geometry::CellCoords<D>> row_key_;  // First cell of each row.
+  std::vector<Unit> units_;        // Ascending, covering every rank once.
 };
 
 }  // namespace internal
@@ -240,31 +349,17 @@ double GridSide(double epsilon, Metric metric = Metric::kL2) {
 // criterion of AxisCost, metric.h), in ascending lexicographic order of
 // their coordinates. Factored out of BuildGrid so the streaming
 // DynamicCellIndex can re-derive adjacency for an incrementally recomposed
-// structure through the same code path. The row sweep runs twice and
-// writes the CSR in place: count, scan, fill through per-cell cursors.
+// structure through the same code path. One row sweep walks the cell trie
+// once (internal::RowSweep::FillCsr).
 template <int D>
 void BuildGridAdjacency(CellStructure<D>& cells) {
   telemetry::TraceSpan span("grid_adjacency");
-  const size_t num_cells = cells.num_cells();
-  if (num_cells == 0) {  // Empty (streaming) structure: trivial CSR.
+  if (cells.num_cells() == 0) {  // Empty (streaming) structure: trivial CSR.
     cells.nbr_offsets.assign(1, 0);
     cells.nbrs.clear();
     return;
   }
-  const internal::RowSweep<D> sweep(cells);
-  cells.nbr_offsets.assign(num_cells + 1, 0);
-  size_t* const offsets = cells.nbr_offsets.data();
-  sweep.ForEach([&](size_t i, size_t) { ++offsets[i]; });
-  const size_t total = primitives::ScanExclusive(
-      std::span<size_t>(offsets, num_cells + 1));
-  cells.nbrs.resize(total);
-  std::vector<size_t> cursor(num_cells);
-  parallel::parallel_for(0, num_cells,
-                         [&](size_t c) { cursor[c] = offsets[c]; });
-  uint32_t* const nbrs = cells.nbrs.data();
-  sweep.ForEach([&](size_t i, size_t j) {
-    nbrs[cursor[i]++] = static_cast<uint32_t>(j);
-  });
+  internal::RowSweep<D>(cells).FillCsr(cells.nbr_offsets, cells.nbrs);
 }
 
 // Builds the grid cell structure for `input` with parameter `epsilon`.
@@ -298,33 +393,39 @@ CellStructure<D> BuildGrid(std::span<const geometry::Point<D>> input,
   const Point<D> origin = bounds.min;
 
   // Semisort (cell coords, point index) pairs: same-cell points end up
-  // contiguous in expected O(n) work.
-  std::vector<std::pair<CellCoords<D>, uint32_t>> pairs(n);
-  parallel::parallel_for(0, n, [&](size_t i) {
-    pairs[i] = {geometry::CellOf<D>(input[i], origin, side),
-                static_cast<uint32_t>(i)};
-  });
-  auto grouped = primitives::Semisort<CellCoords<D>, uint32_t>(
-      std::span<const std::pair<CellCoords<D>, uint32_t>>(pairs),
-      [](const CellCoords<D>& c) { return geometry::HashCellCoords<D>(c); },
-      [](const CellCoords<D>& a, const CellCoords<D>& b) { return a == b; });
-  pairs.clear();
-  pairs.shrink_to_fit();
+  // contiguous in expected O(n) work. The pairs and the semisort output
+  // are freed before the adjacency build allocates the CSR.
+  {
+    containers::UninitializedVector<std::pair<CellCoords<D>, uint32_t>>
+        pairs(n);
+    parallel::parallel_for(0, n, [&](size_t i) {
+      pairs[i] = {geometry::CellOf<D>(input[i], origin, side),
+                  static_cast<uint32_t>(i)};
+    });
+    auto grouped = primitives::Semisort<CellCoords<D>, uint32_t>(
+        std::span<const std::pair<CellCoords<D>, uint32_t>>(pairs),
+        [](const CellCoords<D>& c) { return geometry::HashCellCoords<D>(c); },
+        [](const CellCoords<D>& a, const CellCoords<D>& b) { return a == b; });
+    pairs.clear();
+    pairs.shrink_to_fit();
 
-  const size_t num_cells = grouped.num_groups();
-  cells.offsets = std::move(grouped.group_offsets);
-  cells.points.resize(n);
-  cells.orig_index.resize(n);
-  parallel::parallel_for(0, n, [&](size_t i) {
-    cells.orig_index[i] = grouped.items[i].second;
-    cells.points[i] = input[grouped.items[i].second];
-  });
-  cells.coords.resize(num_cells);
-  cells.cell_boxes.resize(num_cells);
-  parallel::parallel_for(0, num_cells, [&](size_t c) {
-    cells.coords[c] = grouped.items[cells.offsets[c]].first;
-    cells.cell_boxes[c] = geometry::CellBBox<D>(cells.coords[c], origin, side);
-  });
+    // The arrays below are allocated uninitialized and first touched by
+    // the parallel loops that fill them.
+    const size_t num_cells = grouped.num_groups();
+    cells.offsets = std::move(grouped.group_offsets);
+    Point<D>* const points = cells.points.AllocateAligned(n);
+    uint32_t* const orig_index = cells.orig_index.AllocateAligned(n);
+    parallel::parallel_for(0, n, [&](size_t i) {
+      orig_index[i] = grouped.items[i].second;
+      points[i] = input[grouped.items[i].second];
+    });
+    CellCoords<D>* const coords = cells.coords.AllocateAligned(num_cells);
+    BBox<D>* const boxes = cells.cell_boxes.AllocateAligned(num_cells);
+    parallel::parallel_for(0, num_cells, [&](size_t c) {
+      coords[c] = grouped.items[cells.offsets[c]].first;
+      boxes[c] = geometry::CellBBox<D>(coords[c], origin, side);
+    });
+  }
 
   BuildGridAdjacency(cells);
   cells.BuildSoALanes();

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "containers/uninitialized_vector.h"
 #include "parallel/scheduler.h"
 #include "primitives/random.h"
 #include "primitives/scan.h"
@@ -31,7 +32,7 @@ namespace pdbscan::primitives {
 // items[group_offsets[g] .. group_offsets[g+1]).
 template <typename K, typename V>
 struct SemisortResult {
-  std::vector<std::pair<K, V>> items;
+  containers::UninitializedVector<std::pair<K, V>> items;
   std::vector<size_t> group_offsets;  // Size num_groups + 1.
 
   size_t num_groups() const {
@@ -50,7 +51,9 @@ SemisortResult<K, V> Semisort(std::span<const std::pair<K, V>> pairs,
     return result;
   }
 
-  std::vector<uint64_t> hashes(n);
+  // Every n-sized buffer below is filled by a parallel loop, so it is
+  // allocated uninitialized and first touched there.
+  containers::UninitializedVector<uint64_t> hashes(n);
   parallel::parallel_for(0, n,
                          [&](size_t i) { hashes[i] = hash(pairs[i].first); });
 
@@ -89,7 +92,8 @@ SemisortResult<K, V> Semisort(std::span<const std::pair<K, V>> pairs,
     }
     bucket_starts[num_buckets] = offset;
   }
-  std::vector<uint32_t> order(n);  // Input indices scattered by bucket.
+  // Input indices scattered by bucket.
+  containers::UninitializedVector<uint32_t> order(n);
   parallel::parallel_for(
       0, num_blocks,
       [&](size_t b) {
@@ -103,8 +107,9 @@ SemisortResult<K, V> Semisort(std::span<const std::pair<K, V>> pairs,
       1);
 
   // Group within each bucket: sort by hash, then split equal-hash runs by
-  // key equality. Records a flag per position: 1 iff a new group starts.
-  std::vector<size_t> group_start(n);
+  // key equality. Records a flag per position: 1 iff a new group starts
+  // (plus a zero at n, so the scan below leaves the total there).
+  containers::UninitializedVector<size_t> group_start(n + 1);
   parallel::parallel_for(
       0, num_buckets,
       [&](size_t k) {
@@ -139,12 +144,16 @@ SemisortResult<K, V> Semisort(std::span<const std::pair<K, V>> pairs,
       },
       1);
 
-  // Group offsets from the start flags.
-  std::vector<size_t> flags = group_start;
-  const size_t num_groups = ScanExclusive(std::span<size_t>(flags));
+  // Group offsets from the start flags, scanned in place: group_start[i]
+  // becomes the number of groups starting before i, so a group starts at
+  // i exactly where the count steps up.
+  group_start[n] = 0;
+  const size_t num_groups = ScanExclusive(std::span<size_t>(group_start));
   result.group_offsets.assign(num_groups + 1, 0);
   parallel::parallel_for(0, n, [&](size_t i) {
-    if (group_start[i] == 1) result.group_offsets[flags[i]] = i;
+    if (group_start[i + 1] != group_start[i]) {
+      result.group_offsets[group_start[i]] = i;
+    }
   });
   result.group_offsets[num_groups] = n;
 

@@ -12,6 +12,7 @@
 #include <span>
 #include <vector>
 
+#include "containers/uninitialized_vector.h"
 #include "parallel/scheduler.h"
 #include "primitives/random.h"
 
@@ -22,6 +23,8 @@ inline constexpr size_t kSortSerialCutoff = 1 << 13;
 inline constexpr size_t kSortOversample = 8;
 }  // namespace internal
 
+// Sorts `a` by `cmp`. T is a trivially copyable value such as an integer
+// or a pair of them: the scatter buffer is allocated uninitialized.
 template <typename T, typename Cmp = std::less<T>>
 void ParallelSort(std::span<T> a, Cmp cmp = Cmp()) {
   const size_t n = a.size();
@@ -54,7 +57,8 @@ void ParallelSort(std::span<T> a, Cmp cmp = Cmp()) {
   // Classify each element (bucket = upper_bound over pivots).
   const size_t block = 1 << 14;
   const size_t num_blocks = (n + block - 1) / block;
-  std::vector<uint32_t> bucket_of(n);
+  // Filled by the parallel loops below, which first-touch their pages.
+  containers::UninitializedVector<uint32_t> bucket_of(n);
   std::vector<size_t> counts(num_blocks * num_buckets, 0);
   parallel::parallel_for(
       0, num_blocks,
@@ -88,7 +92,7 @@ void ParallelSort(std::span<T> a, Cmp cmp = Cmp()) {
   }
 
   // Scatter into a temporary buffer.
-  std::vector<T> out(n);
+  containers::UninitializedVector<T> out(n);
   parallel::parallel_for(
       0, num_blocks,
       [&](size_t b) {

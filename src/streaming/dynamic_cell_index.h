@@ -57,6 +57,10 @@
 #ifndef PDBSCAN_STREAMING_DYNAMIC_CELL_INDEX_H_
 #define PDBSCAN_STREAMING_DYNAMIC_CELL_INDEX_H_
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -325,6 +329,15 @@ class DynamicCellIndex {
     return first_id;
   }
 
+  // Every kTrimEvery published snapshots, the writer returns the
+  // allocator's free pages to the OS. Each snapshot allocates arrays over
+  // the whole dataset, and the one it replaces is freed by whichever
+  // thread drops its last lease; glibc keeps freed pages resident in its
+  // per-thread arenas, so without the trim resident memory ratchets up
+  // with the interleaving of writer and readers, differently every run.
+  // A trim walks every arena, so it is paced rather than run per batch.
+  static constexpr uint64_t kTrimEvery = 32;
+
   // The latest published snapshot. Thread-safe; the pointee is immutable.
   std::shared_ptr<const dbscan::CellIndex<D>> snapshot() const {
     std::lock_guard<std::mutex> lock(publish_mu_);
@@ -530,6 +543,14 @@ class DynamicCellIndex {
     stats_->cells_retained.fetch_add(update.cells_retained,
                                      std::memory_order_relaxed);
     stats_->snapshots_published.fetch_add(1, std::memory_order_relaxed);
+    if (++publishes_ % kTrimEvery == 0) ReleaseFreeMemory();
+  }
+
+  // Returns the allocator's free pages to the OS (glibc: malloc_trim).
+  static void ReleaseFreeMemory() {
+#if defined(__GLIBC__)
+    malloc_trim(0);
+#endif
   }
 
   double epsilon_;
@@ -554,6 +575,7 @@ class DynamicCellIndex {
   CoordsMap<uint32_t> cell_id_;
 
   std::shared_ptr<const dbscan::CellIndex<D>> pending_;
+  uint64_t publishes_ = 0;  // Snapshots published; paces ReleaseFreeMemory.
   mutable std::mutex publish_mu_;
   std::shared_ptr<const dbscan::CellIndex<D>> published_;
   UpdateStats last_update_;

@@ -334,6 +334,41 @@ CoordsList<D> OneRowPerCellCoords(size_t count, uint64_t seed) {
   return unique;
 }
 
+// Rows of 4095, 4096, 4097 and 8193 cells among 253 one-cell rows: the
+// last two rows split into segments of at most 4096 cells, the first 128
+// one-cell rows fill a whole block of short rows, and one-cell rows sit
+// between the long rows, two rows apart, so every long row and segment is
+// adjacent to short rows and to another long row. At D = 1 every cell is
+// in one row, which then splits into six segments.
+template <int D>
+CoordsList<D> SplitRowCoords(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  CoordsList<D> out;
+  int64_t row = 0;
+  int64_t next_last = 0;  // D = 1: keeps the rows' cells distinct.
+  const auto add_row = [&](size_t count) {
+    int64_t last = D == 1 ? next_last : -static_cast<int64_t>(count) - 20;
+    if (count == 1 && D > 1) last += static_cast<int64_t>(rng() % 40);
+    for (size_t i = 0; i < count; ++i) {
+      last += 1 + static_cast<int64_t>(rng() % 3);
+      geometry::CellCoords<D> c{};
+      if constexpr (D > 1) c[0] = row;
+      c[D - 1] = last;
+      out.push_back(c);
+    }
+    next_last = last + 1;
+    ++row;
+  };
+  for (int i = 0; i < 150; ++i) add_row(1);
+  for (const size_t count : {4095, 4096, 4097, 8193}) {
+    add_row(count);
+    if (count != 8193) add_row(1);
+  }
+  for (int i = 0; i < 100; ++i) add_row(1);
+  std::shuffle(out.begin(), out.end(), rng);
+  return out;
+}
+
 constexpr Metric kAllMetrics[] = {
     Metric::kL2, Metric::kL1, Metric::kLinf};
 
@@ -343,7 +378,7 @@ template <int D>
 void CheckExactOrderAdjacency() {
   constexpr int64_t kFar = int64_t{1} << 40;
   constexpr bool kLow = D <= 3;
-  const std::vector<std::pair<std::string, CoordsList<D>>> shapes = {
+  std::vector<std::pair<std::string, CoordsList<D>>> shapes = {
       {"empty", {}},
       {"single", {geometry::CellCoords<D>{}}},
       {"dense", RandomCoords<D>(kLow ? 3000 : 1500, 0, kLow ? 9 : 2, 101 + D)},
@@ -356,6 +391,7 @@ void CheckExactOrderAdjacency() {
       {"near_minus_2^40", RandomCoords<D>(kLow ? 1500 : 800, -kFar,
                                           kLow ? 8 : 3, 606 + D)},
   };
+  if (kLow) shapes.emplace_back("split_rows", SplitRowCoords<D>(707 + D));
   for (const Metric metric : kAllMetrics) {
     for (const auto& [name, coords] : shapes) {
       const auto expected = ReferenceNeighbors<D>(coords, metric);

@@ -89,6 +89,20 @@ TEST(FlatArrayAligned, VectorMutationDegradesToOwnedVector) {
   EXPECT_EQ(a[3], 4.0);
 }
 
+TEST(FlatArrayAligned, ElementWritesStayInPlace) {
+  FlatArray<double> a;
+  double* p = a.AllocateAligned(3);
+  a[0] = 1.0;
+  *(a.begin() + 1) = 2.0;
+  a.data()[2] = 3.0;
+  EXPECT_TRUE(a.is_aligned());
+  EXPECT_EQ(a.data(), p);
+  EXPECT_EQ(p[0], 1.0);
+  EXPECT_EQ(p[1], 2.0);
+  EXPECT_EQ(p[2], 3.0);
+  EXPECT_EQ(a.end() - a.begin(), 3);
+}
+
 // --- FlatArray: strided views ----------------------------------------------
 
 TEST(FlatArrayStrided, StridedViewReadsEveryStrideThElement) {

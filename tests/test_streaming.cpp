@@ -235,7 +235,8 @@ TEST(Streaming, VanishedCellRecountsItsOldNeighbors) {
 // --- Snapshot hand-over ----------------------------------------------------
 
 // Old snapshots stay valid and immutable after further updates: a reader
-// holding a pinned snapshot sees its version forever.
+// holding a pinned snapshot sees its version forever, allocator trims
+// included.
 TEST(Streaming, PinnedSnapshotsSurviveLaterUpdates) {
   const double eps = 1.0;
   StreamingClusterer<2> stream(eps, 15);
@@ -248,6 +249,11 @@ TEST(Streaming, PinnedSnapshotsSurviveLaterUpdates) {
 
   stream.Insert(BlobPoints<2>(300, 2, 18.0, 0.8, 37));
   stream.Erase(std::vector<uint64_t>{1, 2, 3});
+  // Enough further batches that the writer trims the allocator twice.
+  const uint64_t trims = 2 * streaming::DynamicCellIndex<2>::kTrimEvery;
+  for (uint64_t id = 4; id < 4 + trims; ++id) {
+    stream.Erase(std::vector<uint64_t>{id});
+  }
   // The pinned snapshot still answers identically…
   ExpectIdentical(before, ctx.Run(*snap_v1, 6), "pinned snapshot");
   ASSERT_TRUE(SameClustering(Dbscan<2>(pts_v1, eps, 6), before));
