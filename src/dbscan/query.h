@@ -56,12 +56,14 @@ inline void WriteMin(uint32_t& slot, uint32_t value) {
 // Clustering from `roots` (ClusterBorder's output). Scratch lives in `ws`;
 // the returned Clustering owns fresh storage.
 //
-// A serial pass over the points in original order, numbering each point's
-// roots in ascending order as they first appear, orders the roots by
-// (smallest original index of a member, root id). That is computed here in
-// parallel: a write-min of each root's first index, a filter of the roots
-// in use, and a sort by that key; memberships are then a count per
-// original index, an exclusive scan and a parallel fill.
+// Clusters are ordered by (smallest original index of a member, smallest
+// original index of a core member). The second key breaks the tie when a
+// border point is the first member of several clusters; a core point
+// belongs to exactly one cluster, so the key is unique and the ids never
+// depend on root (cell) ids, i.e. on the cell layout. That is computed here
+// in parallel: write-mins of each root's two keys, a filter of the roots in
+// use, and a sort; memberships are then a count per original index, an
+// exclusive scan and a parallel fill.
 template <int D>
 Clustering Finalize(const CellStructure<D>& cells,
                     const std::vector<uint8_t>& core_flags,
@@ -78,25 +80,38 @@ Clustering Finalize(const CellStructure<D>& cells,
   out.is_core.resize(n);
   out.membership_offsets.resize(n + 1);
 
-  // Each root's first original index: one write-min per run of equal roots
-  // within a cell (a core cell's points share one), one per side-list entry.
+  // Each root's first original index and first core original index: one
+  // write-min each per run of equal roots within a cell (a core cell's
+  // points share one), and one per side-list entry (border points only).
   ws.first_index.assign(num_cells, kUnused);
+  ws.first_core_index.assign(num_cells, kUnused);
   parallel::parallel_for(
       0, num_cells,
       [&](size_t c) {
         uint32_t run_root = kNoRoot;
         uint32_t run_min = kUnused;
+        uint32_t run_core_min = kUnused;
+        auto flush = [&]() {
+          WriteMin(ws.first_index[run_root], run_min);
+          if (run_core_min != kUnused) {
+            WriteMin(ws.first_core_index[run_root], run_core_min);
+          }
+        };
         for (size_t i = cells.offsets[c]; i < cells.offsets[c + 1]; ++i) {
           const uint32_t r = roots.root[i];
           if (r == kNoRoot || r == kMultiRoot) continue;
           if (r != run_root && run_root != kNoRoot) {
-            WriteMin(ws.first_index[run_root], run_min);
+            flush();
             run_min = kUnused;
+            run_core_min = kUnused;
           }
           run_root = r;
           run_min = std::min<uint32_t>(run_min, orig[i]);
+          if (core_flags[i]) {
+            run_core_min = std::min<uint32_t>(run_core_min, orig[i]);
+          }
         }
-        if (run_root != kNoRoot) WriteMin(ws.first_index[run_root], run_min);
+        if (run_root != kNoRoot) flush();
       },
       1);
   parallel::parallel_for(0, num_multi, [&](size_t k) {
@@ -106,13 +121,15 @@ Clustering Finalize(const CellStructure<D>& cells,
     }
   });
 
-  // Cluster ids: the roots in use, ordered by (first index, root id).
+  // Cluster ids: the roots in use, ordered by (first index, first core
+  // index).
   std::vector<size_t> used = primitives::FilterIndex(
       num_cells, [&](size_t r) { return ws.first_index[r] != kUnused; });
   primitives::ParallelSort(used, [&](size_t a, size_t b) {
     const uint32_t fa = ws.first_index[a];
     const uint32_t fb = ws.first_index[b];
-    return fa != fb ? fa < fb : a < b;
+    return fa != fb ? fa < fb
+                    : ws.first_core_index[a] < ws.first_core_index[b];
   });
   ws.root_to_id.resize(num_cells);  // Only roots in use are read.
   parallel::parallel_for(0, used.size(), [&](size_t k) {

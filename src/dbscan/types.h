@@ -138,9 +138,12 @@ Options Our2dBoxDelaunay();
 Options WithBucketing(Options options);
 
 // The clustering produced by DBSCAN. Cluster ids are consecutive integers
-// 0..num_clusters-1, assigned deterministically (by first appearance in
-// input order), so equal inputs produce identical outputs regardless of the
-// execution schedule.
+// 0..num_clusters-1, assigned deterministically by first appearance in
+// input order: clusters are ordered by the smallest input index of a
+// member, and clusters that share that first member (a border point in
+// several) by the smallest input index of a core member, which is unique
+// per cluster. Equal inputs therefore produce identical outputs regardless
+// of the execution schedule or the cell layout.
 struct Clustering {
   // Primary cluster per point (the lowest cluster id the point belongs to),
   // or kNoise for points in no cluster.

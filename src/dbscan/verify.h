@@ -24,7 +24,8 @@ namespace pdbscan::dbscan {
 
 // O(n^2) reference DBSCAN (exact, standard definition, multi-membership
 // border points). Labels are normalized by first appearance in input order,
-// the same rule the parallel pipeline uses. `metric` selects the distance
+// ties broken by each cluster's smallest core index, the same rule the
+// parallel pipeline uses (Clustering, types.h). `metric` selects the distance
 // the eps-neighborhood is measured in (defaults to L2, the paper's setting).
 template <int D>
 Clustering BruteForceDbscan(std::span<const geometry::Point<D>> pts,
@@ -73,12 +74,22 @@ Clustering BruteForceDbscan(std::span<const geometry::Point<D>> pts,
                    roots[i].end());
   }
 
+  // Roots first met at the same point are numbered by their smallest core
+  // point, which is unique per cluster.
+  std::vector<size_t> first_core(n, n);
+  for (size_t i = n; i-- > 0;) {
+    if (out.is_core[i]) first_core[uf.Find(i)] = i;
+  }
   std::vector<int64_t> root_to_id(n, -1);
   int64_t next_id = 0;
   out.cluster.assign(n, Clustering::kNoise);
   out.membership_offsets.assign(n + 1, 0);
   for (size_t i = 0; i < n; ++i) {
-    for (const size_t r : roots[i]) {
+    std::vector<size_t> by_core = roots[i];
+    std::sort(by_core.begin(), by_core.end(), [&](size_t a, size_t b) {
+      return first_core[a] < first_core[b];
+    });
+    for (const size_t r : by_core) {
       if (root_to_id[r] < 0) root_to_id[r] = next_id++;
     }
     out.membership_offsets[i + 1] = out.membership_offsets[i] + roots[i].size();

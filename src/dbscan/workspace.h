@@ -69,8 +69,10 @@ struct Workspace {
   containers::UnionFind uf;
 
   // Finalize scratch, per root cell: the smallest original index of a
-  // point in its cluster, and its consecutive cluster id.
+  // point in its cluster, the smallest of a core point in it, and its
+  // consecutive cluster id.
   std::vector<uint32_t> first_index;
+  std::vector<uint32_t> first_core_index;
   std::vector<int64_t> root_to_id;
 };
 

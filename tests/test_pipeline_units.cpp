@@ -297,9 +297,9 @@ TEST(ClusterCore, CandidatePairsAccountedAtAnyWorkerCount) {
 }
 
 // The serial first-appearance relabel Finalize replaces: points in original
-// order, each point's roots in ascending order, a root numbered when first
-// met; memberships are the ids, ascending, and a point's cluster the
-// smallest.
+// order, each point's roots ordered by their clusters' smallest core
+// original index, a root numbered when first met; memberships are the ids,
+// ascending, and a point's cluster the smallest.
 template <int D>
 Clustering SerialRelabel(const CellStructure<D>& cells,
                          const std::vector<uint8_t>& flags,
@@ -308,14 +308,23 @@ Clustering SerialRelabel(const CellStructure<D>& cells,
   std::vector<std::vector<uint32_t>> by_orig(n);
   Clustering out;
   out.is_core.assign(n, 0);
+  std::vector<size_t> first_core(cells.num_cells(), n);
   for (size_t i = 0; i < n; ++i) {
     by_orig[cells.orig_index[i]] = RootsOf(roots, i);
     out.is_core[cells.orig_index[i]] = flags[i];
+    if (flags[i]) {
+      size_t& first = first_core[roots.root[i]];
+      first = std::min<size_t>(first, cells.orig_index[i]);
+    }
   }
   std::vector<int64_t> root_to_id(cells.num_cells(), -1);
   out.cluster.assign(n, Clustering::kNoise);
   out.membership_offsets.assign(n + 1, 0);
   for (size_t i = 0; i < n; ++i) {
+    std::sort(by_orig[i].begin(), by_orig[i].end(),
+              [&](uint32_t a, uint32_t b) {
+                return first_core[a] < first_core[b];
+              });
     std::vector<int64_t> ids;
     for (const uint32_t r : by_orig[i]) {
       if (root_to_id[r] < 0) {
@@ -392,12 +401,13 @@ TEST(Finalize, FirstAppearanceIdsAcrossWorkers) {
     const std::string at = std::to_string(workers) + " workers";
     const Clustering got =
         FinalizeAgainstSerial(shared, eps, min_pts, false, "shared " + at);
-    EXPECT_TRUE(dbscan::SameClustering(got, brute)) << at;
+    ExpectSameIds(got, brute, "brute force " + at);
     ExpectSameIds(Dbscan<2>(shared, eps, min_pts), got, "Dbscan " + at);
     ASSERT_EQ(got.num_clusters, 3u) << at;
     // The tie: the shared border point is in clusters 0 and 1, so its
-    // primary cluster is 0; A and B take 0 and 1 in root order, and C,
-    // first met at index 2, is 2.
+    // primary cluster is 0; A (first core point 6) takes 0 and B (first core
+    // point 10) takes 1, whatever their root ids, and C, first met at index
+    // 2, is 2.
     EXPECT_FALSE(got.is_core[0]) << at;
     EXPECT_EQ(got.cluster[0], 0) << at;
     EXPECT_EQ(std::vector<int64_t>(got.memberships(0).begin(),
@@ -407,13 +417,8 @@ TEST(Finalize, FirstAppearanceIdsAcrossWorkers) {
     EXPECT_EQ(got.cluster[1], Clustering::kNoise) << at;
     EXPECT_EQ(got.cluster[14], Clustering::kNoise) << at;
     for (size_t i = 2; i < 6; ++i) EXPECT_EQ(got.cluster[i], 2) << at;
-    for (size_t i = 7; i < 10; ++i) {
-      EXPECT_EQ(got.cluster[i], got.cluster[6]) << at;
-    }
-    for (size_t i = 11; i < 14; ++i) {
-      EXPECT_EQ(got.cluster[i], got.cluster[10]) << at;
-    }
-    EXPECT_EQ(got.cluster[6] + got.cluster[10], 1) << at;
+    for (size_t i = 6; i < 10; ++i) EXPECT_EQ(got.cluster[i], 0) << at;
+    for (size_t i = 10; i < 14; ++i) EXPECT_EQ(got.cluster[i], 1) << at;
     runs.push_back(got);
 
     // DBSCAN*: the shared point is noise, so ids follow C, A, B.
