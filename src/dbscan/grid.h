@@ -2,17 +2,20 @@
 //
 // Points are assigned to cells of side epsilon/sqrt(d) anchored at the
 // dataset's bounding-box corner. Grouping points by cell uses *semisort*
-// (not a comparison sort), which is the paper's key to O(n) expected work:
-// only same-cell grouping matters, not cell ordering.
+// (not a comparison sort), which is the paper's key to O(n) expected work.
+// The m <= n groups are then sorted by coordinates (O(m log m) work, the
+// only super-linear step of the grid), so BuildGrid's cells ascend in
+// lexicographic coordinate order: cell ids, point ranges, boxes and SoA
+// lanes are laid out so that a cell's neighbors sit near it in memory,
+// which every later stage (MarkCore, ClusterCore, ClusterBorder) visits.
 //
 // Neighboring cells (cells whose boxes are within epsilon) are found by one
 // row sweep for every dimension. It replaces the paper's per-offset hash
 // probes (low d) and k-d tree over cell centers (high d, Section 5.1): the
-// m <= n non-empty cells are sorted by coordinates (O(m log m) work, the
-// only super-linear step of the grid) and split into rows (cells sharing
-// all but the last coordinate). Each source row walks the sorted row
-// prefixes depth-first, pruning every branch whose partial cost already
-// breaks the exact integer criterion
+// cells, in coordinate order, are split into rows (cells sharing all but
+// the last coordinate). Each source row walks the sorted row prefixes
+// depth-first, pruning every branch whose partial cost already breaks the
+// exact integer criterion
 //     sum_i max(0, |delta_i| - 1)^2 <= d
 // (L2: box distance <= epsilon, since side = epsilon/sqrt(d); AxisCost in
 // metric.h gives L1 and Linf), so only occupied target rows are visited,
@@ -57,9 +60,12 @@ bool SameRow(const geometry::CellCoords<D>& a,
   return true;
 }
 
-// The CSR builder for every D: the cells sorted by coordinates and split
-// into rows (cells sharing all but the last coordinate). Cell ids are
-// untouched; the sort only permutes this side structure.
+// The CSR builder for every D: the cells in coordinate order, split into
+// rows (cells sharing all but the last coordinate). BuildGrid's cells
+// already ascend, which a parallel O(m) check confirms, so their ranks are
+// their ids. A streaming recompose keeps its insertion-stable cell order;
+// its cells are sorted here, and cell ids stay untouched, since the sort
+// only permutes this side structure.
 //
 // The sorted row keys form a trie over axes 0..D-2. A source row with
 // prefix p finds its target rows by a depth-first walk of that trie: at
@@ -84,26 +90,38 @@ class RowSweep {
     using geometry::CellCoords;
     telemetry::TraceSpan span("row_sort");
     const size_t m = cells.num_cells();
+    const CellCoords<D>* const coords = cells.coords.data();
+    // BuildGrid's cells already ascend, so their ranks are their ids; a
+    // streaming recompose keeps its insertion order and is sorted here.
+    const bool ascending =
+        primitives::ReduceMin(size_t{1}, m, uint8_t{1}, [&](size_t k) {
+          return static_cast<uint8_t>(coords[k - 1] < coords[k]);
+        }) != 0;
     containers::UninitializedVector<std::pair<CellCoords<D>, uint32_t>>
-        sorted(m);
-    parallel::parallel_for(0, m, [&](size_t c) {
-      sorted[c] = {cells.coords[c], static_cast<uint32_t>(c)};
-    });
-    // Coordinates are distinct, so the order never consults the cell id.
-    primitives::ParallelSort(
-        std::span<std::pair<CellCoords<D>, uint32_t>>(sorted));
+        sorted(ascending ? 0 : m);
+    if (!ascending) {
+      parallel::parallel_for(0, m, [&](size_t c) {
+        sorted[c] = {coords[c], static_cast<uint32_t>(c)};
+      });
+      // Coordinates are distinct, so the order never consults the cell id.
+      primitives::ParallelSort(
+          std::span<std::pair<CellCoords<D>, uint32_t>>(sorted));
+    }
+    auto key = [&](size_t k) -> const CellCoords<D>& {
+      return ascending ? coords[k] : sorted[k].first;
+    };
     pos_.resize(m);
     last_.resize(m);
     parallel::parallel_for(0, m, [&](size_t k) {
-      pos_[k] = sorted[k].second;
-      last_[k] = sorted[k].first[D - 1];
+      pos_[k] = ascending ? static_cast<uint32_t>(k) : sorted[k].second;
+      last_[k] = key(k)[D - 1];
     });
     row_start_ = primitives::FilterIndex(m, [&](size_t k) {
-      return k == 0 || !SameRow<D>(sorted[k].first, sorted[k - 1].first);
+      return k == 0 || !SameRow<D>(key(k), key(k - 1));
     });
     row_key_.resize(row_start_.size());
     parallel::parallel_for(0, row_start_.size(), [&](size_t r) {
-      row_key_[r] = sorted[row_start_[r]].first;
+      row_key_[r] = key(row_start_[r]);
     });
     row_start_.push_back(m);
     const size_t num_rows = row_key_.size();
@@ -362,8 +380,10 @@ void BuildGridAdjacency(CellStructure<D>& cells) {
   internal::RowSweep<D>(cells).FillCsr(cells.nbr_offsets, cells.nbrs);
 }
 
-// Builds the grid cell structure for `input` with parameter `epsilon`.
-// `bounds_hint`, when non-null, skips the reduction pass; its `min` corner
+// Builds the grid cell structure for `input` with parameter `epsilon`, its
+// cells in ascending coordinate order and each cell's points in the order
+// the semisort grouped them. `bounds_hint`, when non-null, skips the
+// reduction pass; its `min` corner
 // becomes the grid anchor origin and is the ONLY field read, so any box
 // containing `input` is valid. BuildCells passes ComputeBounds of the full
 // point set, cached across epsilon changes.
@@ -409,21 +429,40 @@ CellStructure<D> BuildGrid(std::span<const geometry::Point<D>> input,
     pairs.clear();
     pairs.shrink_to_fit();
 
-    // The arrays below are allocated uninitialized and first touched by
-    // the parallel loops that fill them.
+    // Cells in ascending coordinate order: the semisort groups sorted by
+    // their coordinates (distinct, so the group index never decides).
     const size_t num_cells = grouped.num_groups();
-    cells.offsets = std::move(grouped.group_offsets);
-    Point<D>* const points = cells.points.AllocateAligned(n);
-    uint32_t* const orig_index = cells.orig_index.AllocateAligned(n);
-    parallel::parallel_for(0, n, [&](size_t i) {
-      orig_index[i] = grouped.items[i].second;
-      points[i] = input[grouped.items[i].second];
+    const std::vector<size_t>& group = grouped.group_offsets;
+    containers::UninitializedVector<std::pair<CellCoords<D>, uint32_t>>
+        order(num_cells);
+    parallel::parallel_for(0, num_cells, [&](size_t g) {
+      order[g] = {grouped.items[group[g]].first, static_cast<uint32_t>(g)};
     });
+    primitives::ParallelSort(
+        std::span<std::pair<CellCoords<D>, uint32_t>>(order));
+
+    // The arrays below are allocated uninitialized and first touched by
+    // the parallel loops that fill them. Cell c takes group order[c]'s
+    // points, in the order the semisort left them.
+    size_t* const offsets = cells.offsets.AllocateAligned(num_cells + 1);
     CellCoords<D>* const coords = cells.coords.AllocateAligned(num_cells);
     BBox<D>* const boxes = cells.cell_boxes.AllocateAligned(num_cells);
     parallel::parallel_for(0, num_cells, [&](size_t c) {
-      coords[c] = grouped.items[cells.offsets[c]].first;
+      const uint32_t g = order[c].second;
+      offsets[c] = group[g + 1] - group[g];
+      coords[c] = order[c].first;
       boxes[c] = geometry::CellBBox<D>(coords[c], origin, side);
+    });
+    offsets[num_cells] = 0;
+    primitives::ScanExclusive(std::span<size_t>(offsets, num_cells + 1));
+    Point<D>* const points = cells.points.AllocateAligned(n);
+    uint32_t* const orig_index = cells.orig_index.AllocateAligned(n);
+    parallel::parallel_for(0, num_cells, [&](size_t c) {
+      const auto* from = grouped.items.data() + group[order[c].second];
+      for (size_t i = offsets[c]; i < offsets[c + 1]; ++i, ++from) {
+        orig_index[i] = from->second;
+        points[i] = input[from->second];
+      }
     });
   }
 

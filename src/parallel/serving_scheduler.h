@@ -107,6 +107,10 @@ struct ServeResult {
   size_t min_pts = 0;           // Echo of the request parameter.
   bool from_cache = false;      // Answered at admission from the LRU cache.
   bool coalesced = false;       // Shared a batched execution with others.
+  // telemetry::NowNanos() when the scheduler resolved a traced request (0
+  // if untraced): blocking Submit ends the waiter's result_wakeup span at
+  // the moment it resumes.
+  uint64_t delivered_nanos = 0;
 
   bool ok() const { return status == ServeStatus::kOk; }
 };
@@ -292,7 +296,15 @@ class ServingScheduler {
       throw std::logic_error(
           "blocking Submit on a manual-pump scheduler would never return");
     }
-    return SubmitAsync(min_pts, timeout_nanos).get();
+    ServeResult result = SubmitAsync(min_pts, timeout_nanos).get();
+    if (result.delivered_nanos != 0) {
+      // The hand-off from Deliver to this thread running again, recorded
+      // manually like queue_wait under the caller's span (serve_request).
+      telemetry::RecordSpan("result_wakeup", telemetry::CurrentTraceId(),
+                            telemetry::CurrentSpanId(), result.delivered_nanos,
+                            telemetry::NowNanos());
+    }
+    return result;
   }
 
   // Manual pump (num_executors == 0): performs one expire-claim-execute
@@ -677,6 +689,7 @@ class ServingScheduler {
       }
       if (latency >= options_.slow_query_nanos) LogSlowQuery(req, latency);
     }
+    if (req.trace_id != 0) result.delivered_nanos = telemetry::NowNanos();
     req.promise.set_value(std::move(result));
   }
 

@@ -451,6 +451,48 @@ TEST(GridAdjacency, HugeExtentTinyEpsilon) {
   }
 }
 
+// --- Cell layout ----------------------------------------------------------------
+//
+// BuildGrid emits its cells in strictly ascending lexicographic order of
+// their coordinates, so a cell's neighbors sit near it in every per-cell
+// array. The adjacency reuses that order instead of sorting again.
+
+template <int D>
+void CheckCellsAscend(double side, double eps) {
+  const auto pts = RandomPoints<D>(3000, side, 40 + D);
+  for (const int workers : {1, 4}) {
+    parallel::ScopedNumWorkers scoped(workers);
+    for (const Metric metric : kAllMetrics) {
+      const auto cells = dbscan::BuildGrid<D>(pts, eps, nullptr, metric);
+      const std::string what = std::to_string(D) + "d, " +
+                               std::to_string(workers) + " workers, metric " +
+                               std::to_string(static_cast<int>(metric));
+      ASSERT_GT(cells.num_cells(), 1u) << what;
+      for (size_t c = 1; c < cells.num_cells(); ++c) {
+        ASSERT_LT(cells.coords[c - 1], cells.coords[c])
+            << what << ", cell " << c;
+      }
+      // The reordered points still lie in their cells' boxes.
+      for (size_t c = 0; c < cells.num_cells(); ++c) {
+        for (const auto& p : cells.cell_points(c)) {
+          ASSERT_LE(cells.cell_boxes[c].MinSquaredDistance(p), 1e-18)
+              << what << ", cell " << c;
+        }
+      }
+    }
+  }
+}
+
+TEST(Grid, CellsAscendByCoordinates) {
+  CheckCellsAscend<1>(100.0, 0.5);
+  CheckCellsAscend<2>(30.0, 1.0);
+  CheckCellsAscend<3>(12.0, 1.5);
+  CheckCellsAscend<4>(8.0, 2.0);
+  CheckCellsAscend<5>(6.0, 2.5);
+  CheckCellsAscend<6>(5.0, 2.5);
+  CheckCellsAscend<7>(5.0, 3.0);
+}
+
 // --- Box method ---------------------------------------------------------------
 
 TEST(BoxCells, Invariants) {

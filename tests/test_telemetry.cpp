@@ -644,6 +644,7 @@ TEST_F(TelemetryNetTest, TracedQueryReturnsSpansAccountingForWallClock) {
   EXPECT_TRUE(has("queue_wait"));
   EXPECT_TRUE(has("coalesced_sweep"));
   EXPECT_TRUE(has("result_copy"));
+  EXPECT_TRUE(has("result_wakeup"));
   EXPECT_TRUE(has("mark_core"));
   EXPECT_TRUE(has("cluster_core"));
 
@@ -664,6 +665,9 @@ TEST_F(TelemetryNetTest, TracedQueryReturnsSpansAccountingForWallClock) {
   EXPECT_LE(root_nanos, wall_nanos + slack);
 
   ASSERT_GE(serve, 0);
+  for (const auto& s : resp.spans) {
+    if (s.name == "result_wakeup") EXPECT_EQ(s.parent, serve);
+  }
   const uint64_t serve_nanos = resp.spans[serve].duration_nanos;
   uint64_t children_nanos = 0;
   for (const auto& s : resp.spans) {
