@@ -433,6 +433,16 @@ CellStructure<D> BuildGrid(std::span<const geometry::Point<D>> input,
     // their coordinates (distinct, so the group index never decides).
     const size_t num_cells = grouped.num_groups();
     const std::vector<size_t>& group = grouped.group_offsets;
+    // The cell arrays are allocated before the sort's scratch, so the
+    // scratch, freed below, leaves no hole between them that the next
+    // build's CSR cannot reuse (allocated the other way round, the heap
+    // kept ~25 MB more per build at 3D 500k points). They are allocated
+    // uninitialized and first touched by the parallel loops that fill them.
+    size_t* const offsets = cells.offsets.AllocateAligned(num_cells + 1);
+    CellCoords<D>* const coords = cells.coords.AllocateAligned(num_cells);
+    BBox<D>* const boxes = cells.cell_boxes.AllocateAligned(num_cells);
+    Point<D>* const points = cells.points.AllocateAligned(n);
+    uint32_t* const orig_index = cells.orig_index.AllocateAligned(n);
     containers::UninitializedVector<std::pair<CellCoords<D>, uint32_t>>
         order(num_cells);
     parallel::parallel_for(0, num_cells, [&](size_t g) {
@@ -441,12 +451,8 @@ CellStructure<D> BuildGrid(std::span<const geometry::Point<D>> input,
     primitives::ParallelSort(
         std::span<std::pair<CellCoords<D>, uint32_t>>(order));
 
-    // The arrays below are allocated uninitialized and first touched by
-    // the parallel loops that fill them. Cell c takes group order[c]'s
-    // points, in the order the semisort left them.
-    size_t* const offsets = cells.offsets.AllocateAligned(num_cells + 1);
-    CellCoords<D>* const coords = cells.coords.AllocateAligned(num_cells);
-    BBox<D>* const boxes = cells.cell_boxes.AllocateAligned(num_cells);
+    // Cell c takes group order[c]'s points, in the order the semisort left
+    // them.
     parallel::parallel_for(0, num_cells, [&](size_t c) {
       const uint32_t g = order[c].second;
       offsets[c] = group[g + 1] - group[g];
@@ -455,8 +461,6 @@ CellStructure<D> BuildGrid(std::span<const geometry::Point<D>> input,
     });
     offsets[num_cells] = 0;
     primitives::ScanExclusive(std::span<size_t>(offsets, num_cells + 1));
-    Point<D>* const points = cells.points.AllocateAligned(n);
-    uint32_t* const orig_index = cells.orig_index.AllocateAligned(n);
     parallel::parallel_for(0, num_cells, [&](size_t c) {
       const auto* from = grouped.items.data() + group[order[c].second];
       for (size_t i = offsets[c]; i < offsets[c + 1]; ++i, ++from) {
