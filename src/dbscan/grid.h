@@ -426,43 +426,48 @@ CellStructure<D> BuildGrid(std::span<const geometry::Point<D>> input,
         std::span<const std::pair<CellCoords<D>, uint32_t>>(pairs),
         [](const CellCoords<D>& c) { return geometry::HashCellCoords<D>(c); },
         [](const CellCoords<D>& a, const CellCoords<D>& b) { return a == b; });
-    pairs.clear();
-    pairs.shrink_to_fit();
 
     // Cells in ascending coordinate order: the semisort groups sorted by
-    // their coordinates (distinct, so the group index never decides).
+    // their coordinates (distinct, so the group index never decides). The
+    // order reuses the first num_cells <= n pairs, so it needs no buffer
+    // of its own.
     const size_t num_cells = grouped.num_groups();
     const std::vector<size_t>& group = grouped.group_offsets;
-    // The cell arrays are allocated before the sort's scratch, so the
-    // scratch, freed below, leaves no hole between them that the next
-    // build's CSR cannot reuse (allocated the other way round, the heap
-    // kept ~25 MB more per build at 3D 500k points). They are allocated
-    // uninitialized and first touched by the parallel loops that fill them.
-    size_t* const offsets = cells.offsets.AllocateAligned(num_cells + 1);
-    CellCoords<D>* const coords = cells.coords.AllocateAligned(num_cells);
-    BBox<D>* const boxes = cells.cell_boxes.AllocateAligned(num_cells);
-    Point<D>* const points = cells.points.AllocateAligned(n);
-    uint32_t* const orig_index = cells.orig_index.AllocateAligned(n);
-    containers::UninitializedVector<std::pair<CellCoords<D>, uint32_t>>
-        order(num_cells);
+    std::span<std::pair<CellCoords<D>, uint32_t>> order(pairs.data(),
+                                                        num_cells);
     parallel::parallel_for(0, num_cells, [&](size_t g) {
       order[g] = {grouped.items[group[g]].first, static_cast<uint32_t>(g)};
     });
-    primitives::ParallelSort(
-        std::span<std::pair<CellCoords<D>, uint32_t>>(order));
+    primitives::ParallelSort(order);
 
-    // Cell c takes group order[c]'s points, in the order the semisort left
-    // them.
+    // Cell c takes group cell_group[c]'s points, in the order the semisort
+    // left them. The pairs are freed before the cell arrays are allocated,
+    // so the points take the pairs' place in the heap; allocated with the
+    // pairs alive, they went to the heap's top, and the peak RSS of
+    // repeated 3D 500k-point builds rose ~15%.
+    containers::UninitializedVector<uint32_t> cell_group(num_cells);
+    parallel::parallel_for(0, num_cells,
+                           [&](size_t c) { cell_group[c] = order[c].second; });
+    pairs.clear();
+    pairs.shrink_to_fit();
+
+    // The arrays below are allocated uninitialized and first touched by
+    // the parallel loops that fill them.
+    Point<D>* const points = cells.points.AllocateAligned(n);
+    uint32_t* const orig_index = cells.orig_index.AllocateAligned(n);
+    size_t* const offsets = cells.offsets.AllocateAligned(num_cells + 1);
+    CellCoords<D>* const coords = cells.coords.AllocateAligned(num_cells);
+    BBox<D>* const boxes = cells.cell_boxes.AllocateAligned(num_cells);
     parallel::parallel_for(0, num_cells, [&](size_t c) {
-      const uint32_t g = order[c].second;
+      const uint32_t g = cell_group[c];
       offsets[c] = group[g + 1] - group[g];
-      coords[c] = order[c].first;
+      coords[c] = grouped.items[group[g]].first;
       boxes[c] = geometry::CellBBox<D>(coords[c], origin, side);
     });
     offsets[num_cells] = 0;
     primitives::ScanExclusive(std::span<size_t>(offsets, num_cells + 1));
     parallel::parallel_for(0, num_cells, [&](size_t c) {
-      const auto* from = grouped.items.data() + group[order[c].second];
+      const auto* from = grouped.items.data() + group[cell_group[c]];
       for (size_t i = offsets[c]; i < offsets[c + 1]; ++i, ++from) {
         orig_index[i] = from->second;
         points[i] = input[from->second];
